@@ -20,11 +20,24 @@
 //! - **Inline follower counts with a spill arena.** The per-context
 //!   `(value, count, stamp)` frequency table starts as a two-element
 //!   inline array; high-fanout contexts relocate to a geometric spill
-//!   arena. The entry's first follower is always the current argmax, so a
-//!   prediction is one read.
+//!   arena (a list at the arena's end grows in place). The entry's first
+//!   follower is always the current argmax, so a prediction is one read.
+//! - **Indexed high-fanout follower lists.** A list whose capacity reaches
+//!   64 also owns a value → offset index: an open-addressed `u32` region
+//!   of twice the capacity in a shared index arena. A bump finds its
+//!   follower in O(1) expected time instead of scanning, so an order-0
+//!   context (a PC's whole value histogram) stops costing O(distinct
+//!   values) per record. The index is rebuilt when the list relocates
+//!   (its capacity doubled) and after saturating-mode halving (compaction
+//!   moved offsets); a front swap exchanges the two affected index slots.
+//!   Predictions are unaffected: only the front follower is observable,
+//!   and the argmax rule and stamp tie-break never look at the order of
+//!   the other followers.
 //! - **Fused multi-order probe.** One descending walk locates the longest
 //!   matching context and caches every probed entry index; the update
 //!   phase reuses those hits instead of re-probing.
+
+use std::ops::Range;
 
 use crate::table::PcIndex;
 use crate::Predictor;
@@ -78,6 +91,17 @@ const INLINE_KEY: usize = 3;
 /// Followers stored inline in a [`CtxEntry`]; higher fanout spills.
 const INLINE_FOLLOWERS: usize = 2;
 
+/// `log2(INLINE_FOLLOWERS)`: the capacity exponent of an inline list.
+const INLINE_CAP_LOG2: u8 = 1;
+
+/// Spilled follower lists of capacity `1 << INDEX_MIN_CAP_LOG2` (64) or
+/// more carry a value → offset index, so a bump finds its follower without
+/// scanning the list. Below that a scan of at most 32 contiguous followers
+/// is cheap, and indexing the many mid-sized lists of real traces would
+/// add a stream of small, soon-abandoned index regions: measured, that
+/// churn raised a serving process's resident set without saving time.
+const INDEX_MIN_CAP_LOG2: u8 = 6;
+
 /// Probe-cache sentinel: "this (slot, order, context) has no entry".
 const NO_ENTRY: u32 = u32::MAX;
 
@@ -128,16 +152,52 @@ struct CtxEntry {
     /// Owning dense slot (per-instruction isolation is part of the key).
     slot: u32,
     /// Context length == the model order this entry belongs to.
-    key_len: u16,
+    key_len: u8,
+    /// `log2` of the follower capacity; [`INLINE_CAP_LOG2`] means inline
+    /// storage. (A log2 in one byte is what keeps the entry at 112 bytes
+    /// with `index_pos` added.)
+    cap_log2: u8,
     /// Live followers.
     len: u32,
-    /// Follower capacity; `<= INLINE_FOLLOWERS` means inline storage.
-    cap: u32,
     /// Offset into the follower spill arena when not inline.
     spill_pos: u32,
+    /// Offset into the follower index arena when indexed.
+    index_pos: u32,
     /// Inline follower storage (the common case: most contexts are
     /// followed by one or two distinct values).
     inline: [Follower; INLINE_FOLLOWERS],
+}
+
+// The entry arena is the FCM's dominant memory cost; the follower index
+// must not widen it.
+#[cfg(target_pointer_width = "64")]
+const _: () = assert!(std::mem::size_of::<CtxEntry>() <= 112);
+
+impl CtxEntry {
+    #[inline]
+    fn is_inline(&self) -> bool {
+        self.cap_log2 <= INLINE_CAP_LOG2
+    }
+
+    #[inline]
+    fn is_indexed(&self) -> bool {
+        self.cap_log2 >= INDEX_MIN_CAP_LOG2
+    }
+
+    /// The live followers' range in the spill arena (spilled lists only).
+    #[inline]
+    fn spilled(&self) -> Range<usize> {
+        let pos = self.spill_pos as usize;
+        pos..pos + self.len as usize
+    }
+
+    /// The follower index's range in the index arena (indexed lists
+    /// only): twice the capacity, so the index is at most half full.
+    #[inline]
+    fn indexed(&self) -> Range<usize> {
+        let pos = self.index_pos as usize;
+        pos..pos + (2 << self.cap_log2)
+    }
 }
 
 /// Bumps `value` inside an existing follower list, maintaining the
@@ -152,6 +212,57 @@ fn bump_existing(fs: &mut [Follower], value: Value, tick: u64) -> Option<u64> {
     // The bumped follower holds the globally newest stamp, so it is the new
     // argmax exactly when its count reaches the front's.
     if count >= fs[0].count {
+        fs.swap(0, i);
+    }
+    Some(count)
+}
+
+/// Home slot of `value` in a follower index of `slots` (a power of two)
+/// slots: Fibonacci hashing, the top bits of the product.
+#[inline]
+fn index_home(value: Value, slots: usize) -> usize {
+    (value.wrapping_mul(HASH_B) >> (64 - slots.trailing_zeros())) as usize
+}
+
+/// Linear probe for `value` in the index of follower list `fs`. Index
+/// slots hold `1 + offset`, 0 = empty. Returns the slot holding `value`
+/// and its offset, or the empty slot where it belongs and `None`.
+#[inline]
+fn index_find(index: &[u32], fs: &[Follower], value: Value) -> (usize, Option<usize>) {
+    let mask = index.len() - 1;
+    let mut s = index_home(value, index.len());
+    loop {
+        match index[s] {
+            0 => return (s, None),
+            o if fs[o as usize - 1].value == value => return (s, Some(o as usize - 1)),
+            _ => s = (s + 1) & mask,
+        }
+    }
+}
+
+/// Clears `index` and re-seats every follower of `fs` in it (offsets
+/// moved: the list was relocated or compacted by halving).
+fn rebuild_index(index: &mut [u32], fs: &[Follower]) {
+    index.fill(0);
+    for (i, f) in fs.iter().enumerate() {
+        let (s, _) = index_find(index, fs, f.value);
+        index[s] = i as u32 + 1;
+    }
+}
+
+/// [`bump_existing`] for an indexed list: the same bump and front swap,
+/// with the follower found through `index` and the two index slots of a
+/// front swap exchanged so every offset stays current.
+#[inline]
+fn bump_indexed(index: &mut [u32], fs: &mut [Follower], value: Value, tick: u64) -> Option<u64> {
+    let (si, i) = index_find(index, fs, value);
+    let i = i?;
+    fs[i].count += 1;
+    fs[i].stamp = tick;
+    let count = fs[i].count;
+    if i != 0 && count >= fs[0].count {
+        let (s0, _) = index_find(index, fs, fs[0].value);
+        index.swap(s0, si);
         fs.swap(0, i);
     }
     Some(count)
@@ -178,10 +289,10 @@ fn halve_followers(fs: &mut [Follower]) -> u32 {
 }
 
 /// The flat open-addressed value-history table: every (slot, order,
-/// context) entry of the predictor, plus the key and follower spill
-/// arenas. Entries are never removed (matching the unbounded paper
-/// model), so entry indices are stable across bucket growth — the fused
-/// probe caches them safely.
+/// context) entry of the predictor, plus the key, follower spill and
+/// follower index arenas. Entries are never removed (matching the
+/// unbounded paper model), so entry indices are stable across bucket
+/// growth — the fused probe caches them safely.
 #[derive(Debug, Clone, Default)]
 struct Vht {
     /// Power-of-two open-addressed index: `1 + entry index`, 0 = empty.
@@ -191,8 +302,12 @@ struct Vht {
     /// Spilled context keys (orders above `INLINE_KEY`), append-only.
     keys: Vec<Value>,
     /// Spilled follower lists; relocation leaves old regions behind
-    /// (bounded ≤2x waste, no per-context allocations).
+    /// (bounded ≤2x waste, no per-context allocations) unless the list
+    /// is the arena's last region, which grows in place.
     spill: Vec<Follower>,
+    /// Value → offset indexes of indexed follower lists, one power-of-two
+    /// region per list, relocated like `spill`.
+    index: Vec<u32>,
 }
 
 impl Vht {
@@ -257,10 +372,11 @@ impl Vht {
             key,
             key_spill,
             slot,
-            key_len: ctx.len() as u16,
+            key_len: ctx.len() as u8,
+            cap_log2: INLINE_CAP_LOG2,
             len: 0,
-            cap: INLINE_FOLLOWERS as u32,
             spill_pos: 0,
+            index_pos: 0,
             inline: [Follower::default(); INLINE_FOLLOWERS],
         });
         let mask = self.buckets.len() - 1;
@@ -296,26 +412,22 @@ impl Vht {
         if e.len == 0 {
             return None;
         }
-        Some(if e.cap as usize <= INLINE_FOLLOWERS {
-            e.inline[0].value
-        } else {
-            self.spill[e.spill_pos as usize].value
-        })
+        Some(if e.is_inline() { e.inline[0].value } else { self.spill[e.spill_pos as usize].value })
     }
 
     /// Counts one occurrence of `value` after this entry's context:
     /// `count += 1`, stamp = fresh tick, with saturating-mode halving.
     fn bump(&mut self, idx: u32, value: Value, mode: CounterMode) {
         let i = idx as usize;
-        let (tick, inline_now, pos, len) = {
-            let e = &mut self.entries[i];
-            e.tick += 1;
-            (e.tick, e.cap as usize <= INLINE_FOLLOWERS, e.spill_pos as usize, e.len as usize)
-        };
-        let bumped = if inline_now {
-            bump_existing(&mut self.entries[i].inline[..len], value, tick)
+        let e = &mut self.entries[i];
+        e.tick += 1;
+        let tick = e.tick;
+        let bumped = if e.is_inline() {
+            bump_existing(&mut e.inline[..e.len as usize], value, tick)
+        } else if e.is_indexed() {
+            bump_indexed(&mut self.index[e.indexed()], &mut self.spill[e.spilled()], value, tick)
         } else {
-            bump_existing(&mut self.spill[pos..pos + len], value, tick)
+            bump_existing(&mut self.spill[e.spilled()], value, tick)
         };
         let count = match bumped {
             Some(count) => count,
@@ -331,61 +443,82 @@ impl Vht {
         }
     }
 
-    /// Appends a fresh `(value, 1, tick)` follower, relocating the list to
-    /// (or within) the spill arena when full.
+    /// Appends a fresh `(value, 1, tick)` follower, relocating the list
+    /// first when full.
     fn push_follower(&mut self, i: usize, value: Value, tick: u64) {
-        let (len, cap) = {
-            let e = &self.entries[i];
-            (e.len as usize, e.cap as usize)
-        };
-        if len == cap {
-            let new_cap = cap * 2;
-            let new_pos = self.spill.len();
-            if cap <= INLINE_FOLLOWERS {
-                let inline = self.entries[i].inline;
-                self.spill.extend_from_slice(&inline[..len]);
-            } else {
-                let old = self.entries[i].spill_pos as usize;
-                self.spill.extend_from_within(old..old + len);
-            }
-            self.spill.resize(new_pos + new_cap, Follower::default());
-            let e = &mut self.entries[i];
-            e.spill_pos = u32::try_from(new_pos).expect("spill arena fits u32");
-            e.cap = new_cap as u32;
+        if self.entries[i].len as usize == 1 << self.entries[i].cap_log2 {
+            self.relocate(i);
         }
-        let (inline_now, pos, len) = {
-            let e = &mut self.entries[i];
-            let len = e.len as usize;
-            e.len += 1;
-            (e.cap as usize <= INLINE_FOLLOWERS, e.spill_pos as usize, len)
-        };
+        let e = &mut self.entries[i];
+        let len = e.len as usize;
+        e.len += 1;
         let fresh = Follower { value, count: 1, stamp: tick };
-        if inline_now {
-            let e = &mut self.entries[i];
+        if e.is_inline() {
             e.inline[len] = fresh;
             if len > 0 && e.inline[0].count <= 1 {
                 e.inline.swap(0, len);
             }
-        } else {
-            self.spill[pos + len] = fresh;
-            if len > 0 && self.spill[pos].count <= 1 {
-                self.spill.swap(pos, pos + len);
+            return;
+        }
+        let fs = &mut self.spill[e.spilled()];
+        fs[len] = fresh;
+        let to_front = len > 0 && fs[0].count <= 1;
+        if e.is_indexed() {
+            let index = &mut self.index[e.indexed()];
+            let (s, _) = index_find(index, &fs[..len], value);
+            index[s] = len as u32 + 1;
+            if to_front {
+                let (s0, _) = index_find(index, fs, fs[0].value);
+                index.swap(s0, s);
             }
+        }
+        if to_front {
+            fs.swap(0, len);
         }
     }
 
-    /// Saturating-mode halving of one entry's followers.
+    /// Doubles entry `i`'s follower capacity. A list at the end of the
+    /// spill arena grows in place; any other list moves to the end,
+    /// leaving its old region behind. An indexed list's index region
+    /// follows the same rule and is rebuilt for the new capacity.
+    fn relocate(&mut self, i: usize) {
+        let e = &mut self.entries[i];
+        let inline = e.is_inline();
+        let spill_at_end = !inline && e.spill_pos as usize + (1 << e.cap_log2) == self.spill.len();
+        let index_at_end = e.is_indexed() && e.indexed().end == self.index.len();
+        if !spill_at_end {
+            let new_pos = self.spill.len();
+            if inline {
+                self.spill.extend_from_slice(&e.inline[..e.len as usize]);
+            } else {
+                self.spill.extend_from_within(e.spilled());
+            }
+            e.spill_pos = u32::try_from(new_pos).expect("spill arena fits u32");
+        }
+        e.cap_log2 += 1;
+        self.spill.resize(e.spill_pos as usize + (1 << e.cap_log2), Follower::default());
+        if e.is_indexed() {
+            if !index_at_end {
+                e.index_pos =
+                    u32::try_from(self.index.len()).expect("follower index arena fits u32");
+            }
+            self.index.resize(e.indexed().end, 0);
+            rebuild_index(&mut self.index[e.indexed()], &self.spill[e.spilled()]);
+        }
+    }
+
+    /// Saturating-mode halving of one entry's followers. Compaction moves
+    /// offsets, so an indexed list's index is rebuilt in place.
     fn halve(&mut self, i: usize) {
-        let (inline_now, pos, len) = {
-            let e = &self.entries[i];
-            (e.cap as usize <= INLINE_FOLLOWERS, e.spill_pos as usize, e.len as usize)
-        };
-        let keep = if inline_now {
-            halve_followers(&mut self.entries[i].inline[..len])
-        } else {
-            halve_followers(&mut self.spill[pos..pos + len])
-        };
-        self.entries[i].len = keep;
+        let e = &mut self.entries[i];
+        if e.is_inline() {
+            e.len = halve_followers(&mut e.inline[..e.len as usize]);
+            return;
+        }
+        e.len = halve_followers(&mut self.spill[e.spilled()]);
+        if e.is_indexed() {
+            rebuild_index(&mut self.index[e.indexed()], &self.spill[e.spilled()]);
+        }
     }
 }
 
@@ -952,6 +1085,36 @@ mod tests {
         // 17 now has count 3 — the clear argmax.
         assert_eq!(p.predict(PC), Some(17));
         assert_eq!(p.context_entries(), 1);
+    }
+
+    #[test]
+    fn halving_an_indexed_list_rebuilds_its_index() {
+        let mode = CounterMode::Saturating { max: 4 };
+        let mut p = FcmPredictor::with_config(0, Blending::SingleOrder, mode);
+        for v in 0..64u64 {
+            p.update(PC, v);
+        }
+        assert!(p.vht.entries[0].is_indexed(), "64 followers must pass the index threshold");
+        p.update(PC, 20);
+        p.update(PC, 20);
+        for _ in 0..3 {
+            p.update(PC, 7);
+        }
+        // 7 reached max = 4: halving leaves {7: 2, 20: 1} and drops the
+        // sixty-two count-1 followers, compacting the list.
+        assert_eq!(p.vht.entries[0].len, 2);
+        assert_eq!(p.predict(PC), Some(7));
+        // 20 moved offset; the rebuilt index must find it (a duplicate
+        // count-1 row would leave 7 on top).
+        p.update(PC, 20);
+        assert_eq!(p.predict(PC), Some(20));
+        // 3 was dropped; it returns as a fresh follower, then ties the
+        // front at count 2 with the newest stamp.
+        p.update(PC, 3);
+        assert_eq!(p.predict(PC), Some(20));
+        p.update(PC, 3);
+        assert_eq!(p.predict(PC), Some(3));
+        assert_eq!(p.vht.entries[0].len, 3);
     }
 
     #[test]

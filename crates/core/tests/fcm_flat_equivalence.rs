@@ -7,7 +7,8 @@
 //! halving — to `OracleFcm`, a direct nested-`HashMap` transliteration of
 //! Section 2.2 with none of the flat layout. A second property pins
 //! `Predictor::observe_batch` to the per-record loop for every predictor
-//! family the experiments replay.
+//! family the experiments replay. The high-fanout properties repeat both
+//! checks on streams whose follower lists grow long enough to be indexed.
 
 use std::collections::HashMap;
 
@@ -266,6 +267,117 @@ proptest! {
             for &pc in &pcs {
                 prop_assert_eq!(batched.predict(pc), reference.predict(pc));
             }
+        }
+    }
+}
+
+/// Cases for the high-fanout properties. Each replays thousands of
+/// records against an oracle that scans hundreds of followers per bump.
+const HIGH_FANOUT_CASES: u32 = if cfg!(debug_assertions) { 24 } else { 64 };
+
+/// A long stream over one or two PCs and an alphabet of 64–512 values.
+/// Half the streams open with one sweep of the whole alphabet, so the
+/// order-0 lists pass the follower-index threshold while every count is
+/// still 1: each appended follower then ties the front and takes its
+/// place. Skewed draws follow: symbols lean toward small ones (the
+/// smaller of two draws), so counts climb far enough to move the argmax
+/// and to trigger saturating halving on indexed lists. The value shape
+/// varies: dense small integers, a large stride, and high-bit patterns.
+fn arb_high_fanout_stream() -> impl Strategy<Value = Vec<(Pc, Value)>> {
+    (64u64..=512, 0u64..3, 1u64..=2, 0u64..2).prop_flat_map(|(alphabet, shape, pcs, sweep)| {
+        prop::collection::vec((0..pcs, 0..alphabet, 0..alphabet), 1000..4000).prop_map(move |raw| {
+            let sweep = (0..alphabet * sweep).map(|sym| (sym % pcs, sym, sym));
+            sweep
+                .chain(raw)
+                .map(|(pc, a, b)| {
+                    let sym = a.min(b);
+                    let value = match shape {
+                        0 => sym,
+                        1 => 0x1000 + 4096 * sym,
+                        _ => sym.rotate_right(13) ^ sym,
+                    };
+                    (Pc(0x400 + 4 * pc), value)
+                })
+                .collect()
+        })
+    })
+}
+
+/// [`arb_config`] with saturating maxima of 8–64: large enough that an
+/// indexed list keeps many followers between halvings.
+fn arb_high_fanout_config() -> impl Strategy<Value = (usize, Blending, CounterMode)> {
+    (
+        0usize..=5,
+        prop_oneof![
+            Just(Blending::LazyExclusion),
+            Just(Blending::Full),
+            Just(Blending::SingleOrder)
+        ],
+        prop_oneof![
+            Just(CounterMode::Exact),
+            (8u32..=64).prop_map(|max| CounterMode::Saturating { max }),
+        ],
+    )
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(HIGH_FANOUT_CASES))]
+
+    /// High-fanout contexts (indexed follower lists) agree with the
+    /// nested-map oracle record for record, across orders, blendings and
+    /// both counter modes.
+    #[test]
+    fn high_fanout_flat_fcm_equals_nested_oracle(
+        config in arb_high_fanout_config(),
+        stream in arb_high_fanout_stream(),
+    ) {
+        let (order, blending, counter_mode) = config;
+        let mut flat = FcmPredictor::with_config(order, blending, counter_mode);
+        let mut oracle = OracleFcm::new(order, blending, counter_mode);
+        for (i, &(pc, value)) in stream.iter().enumerate() {
+            prop_assert_eq!(
+                flat.step(pc, value),
+                oracle.step(pc, value),
+                "prediction diverged at record {} of {} under {:?}",
+                i,
+                stream.len(),
+                config
+            );
+        }
+        prop_assert_eq!(flat.context_entries(), oracle.context_entries());
+        for &(pc, _) in &stream {
+            prop_assert_eq!(flat.predict(pc), oracle.predict(pc));
+        }
+    }
+
+    /// `observe_batch` over high-fanout streams is the per-record loop,
+    /// bit for bit, at every chunking.
+    #[test]
+    fn high_fanout_observe_batch_matches_per_record_observe(
+        config in arb_high_fanout_config(),
+        stream in arb_high_fanout_stream(),
+        chunk in 1usize..=256,
+    ) {
+        let (order, blending, counter_mode) = config;
+        let mut interner = PcInterner::new();
+        let ids: Vec<PcId> = stream.iter().map(|&(pc, _)| interner.intern(pc)).collect();
+        let pcs: Vec<Pc> = stream.iter().map(|&(pc, _)| pc).collect();
+        let values: Vec<Value> = stream.iter().map(|&(_, v)| v).collect();
+        let mut reference = FcmPredictor::with_config(order, blending, counter_mode);
+        let want: Vec<bool> = stream
+            .iter()
+            .zip(&ids)
+            .map(|(&(pc, v), &id)| reference.observe_id(id, pc, v))
+            .collect();
+        let mut batched = FcmPredictor::with_config(order, blending, counter_mode);
+        let mut got = vec![false; stream.len()];
+        for at in (0..stream.len()).step_by(chunk) {
+            let hi = (at + chunk).min(stream.len());
+            batched.observe_batch(&ids[at..hi], &pcs[at..hi], &values[at..hi], &mut got[at..hi]);
+        }
+        prop_assert_eq!(&got, &want, "{:?} diverged at chunk {}", config, chunk);
+        for &pc in &pcs {
+            prop_assert_eq!(batched.predict(pc), reference.predict(pc));
         }
     }
 }
