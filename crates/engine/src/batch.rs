@@ -1,30 +1,21 @@
 //! Chunk-granular batched replay driving.
 //!
-//! Every replay loop in this crate funnels records into
-//! [`dvp_core::Predictor::observe_batch`] through one of these scratch
-//! buffers, so the per-record cost is a few vector writes and the virtual
-//! predictor dispatch amortizes over a chunk. Batch boundaries are
-//! invisible in the tallies: `observe_batch` is bit-for-bit the per-record
-//! loop, so *any* flush schedule produces identical results.
+//! The replay driver's job kernel funnels records into
+//! [`dvp_core::Predictor::observe_batch`] through this scratch buffer, so
+//! the per-record cost is a few vector writes and the virtual predictor
+//! dispatch amortizes over a chunk. Batch boundaries are invisible in the
+//! tallies: `observe_batch` is bit-for-bit the per-record loop, so *any*
+//! slicing of a record stream produces identical results.
 
 use dvp_core::{AccuracyTracker, Predictor};
-use dvp_trace::{InstrCategory, Pc, PcId, TraceRecord, Value};
+use dvp_trace::{Pc, PcId, TraceRecord, Value};
 
-/// Reusable structure-of-arrays gather buffers for batched replay.
-///
-/// Two usage shapes:
-///
-/// * **Whole slices** ([`BatchScratch::run_slice`]) — when a chunk's
-///   records and ids are already parallel slices, replay them in one call.
-/// * **Gather** ([`BatchScratch::push`] + [`BatchScratch::flush`]) — for
-///   filtered or re-interned loops that select records one at a time;
-///   outcomes are read back through [`BatchScratch::outcomes`].
+/// Reusable structure-of-arrays buffers for batched replay of parallel
+/// `(records, ids)` slices.
 #[derive(Debug, Default)]
 pub(crate) struct BatchScratch {
-    ids: Vec<PcId>,
     pcs: Vec<Pc>,
     values: Vec<Value>,
-    cats: Vec<InstrCategory>,
     correct: Vec<bool>,
 }
 
@@ -65,72 +56,13 @@ impl BatchScratch {
         self.correct.resize(records.len(), false);
         predictor.observe_batch(ids, &self.pcs, &self.values, &mut self.correct);
     }
-
-    /// Number of records gathered and not yet flushed.
-    #[cfg(test)]
-    pub(crate) fn len(&self) -> usize {
-        self.ids.len()
-    }
-
-    #[cfg(test)]
-    pub(crate) fn is_empty(&self) -> bool {
-        self.ids.is_empty()
-    }
-
-    /// Drops any gathered records (outcomes included).
-    pub(crate) fn clear(&mut self) {
-        self.ids.clear();
-        self.pcs.clear();
-        self.values.clear();
-        self.cats.clear();
-        self.correct.clear();
-    }
-
-    /// Gathers one record for the next flush.
-    #[inline]
-    pub(crate) fn push(&mut self, id: PcId, rec: &TraceRecord) {
-        self.ids.push(id);
-        self.pcs.push(rec.pc);
-        self.values.push(rec.value);
-        self.cats.push(rec.category);
-    }
-
-    /// Replays everything gathered since the last clear; outcomes become
-    /// readable through [`BatchScratch::outcomes`]. Does not clear — the
-    /// caller reads outcomes first, then calls [`BatchScratch::clear`]
-    /// (or uses [`BatchScratch::flush_tally`]).
-    pub(crate) fn flush(&mut self, predictor: &mut dyn Predictor) {
-        self.correct.clear();
-        self.correct.resize(self.ids.len(), false);
-        predictor.observe_batch(&self.ids, &self.pcs, &self.values, &mut self.correct);
-    }
-
-    /// [`BatchScratch::flush`], tally every outcome into `tracker`, and
-    /// clear.
-    pub(crate) fn flush_tally(
-        &mut self,
-        predictor: &mut dyn Predictor,
-        tracker: &mut AccuracyTracker,
-    ) {
-        self.flush(predictor);
-        for (&cat, &ok) in self.cats.iter().zip(&self.correct) {
-            tracker.record(cat, ok);
-        }
-        self.clear();
-    }
-
-    /// Per-record `(category, correct)` outcomes of the last flush, in
-    /// gather order.
-    pub(crate) fn outcomes(&self) -> impl Iterator<Item = (InstrCategory, bool)> + '_ {
-        self.cats.iter().copied().zip(self.correct.iter().copied())
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dvp_core::{FcmPredictor, PredictorConfig};
-    use dvp_trace::PcInterner;
+    use dvp_core::PredictorConfig;
+    use dvp_trace::{InstrCategory, PcInterner};
 
     fn stream() -> Vec<TraceRecord> {
         (0..500u64)
@@ -170,46 +102,5 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn gather_flush_matches_run_slice() {
-        let records = stream();
-        let mut interner = PcInterner::new();
-        let ids: Vec<PcId> = records.iter().map(|r| interner.intern(r.pc)).collect();
-        let mut a = FcmPredictor::new(3);
-        let mut want = AccuracyTracker::new();
-        let mut scratch = BatchScratch::new();
-        scratch.run_slice(&mut a, &mut want, &records, &ids);
-        let mut b = FcmPredictor::new(3);
-        let mut got = AccuracyTracker::new();
-        let mut gather = BatchScratch::new();
-        for (rec, &id) in records.iter().zip(&ids) {
-            gather.push(id, rec);
-            if gather.len() == 37 {
-                gather.flush_tally(&mut b, &mut got);
-            }
-        }
-        assert!(!gather.is_empty());
-        gather.flush_tally(&mut b, &mut got);
-        assert_eq!(got.correct(None), want.correct(None));
-        assert_eq!(got.predicted(None), want.predicted(None));
-    }
-
-    #[test]
-    fn outcomes_expose_categories_in_gather_order() {
-        let records = stream();
-        let mut interner = PcInterner::new();
-        let mut p = FcmPredictor::new(1);
-        let mut scratch = BatchScratch::new();
-        for rec in records.iter().take(10) {
-            scratch.push(interner.intern(rec.pc), rec);
-        }
-        scratch.flush(&mut p);
-        let cats: Vec<InstrCategory> = scratch.outcomes().map(|(c, _)| c).collect();
-        let want: Vec<InstrCategory> = records.iter().take(10).map(|r| r.category).collect();
-        assert_eq!(cats, want);
-        scratch.clear();
-        assert!(scratch.is_empty());
     }
 }

@@ -84,6 +84,7 @@
 #![warn(missing_docs)]
 
 mod batch;
+mod driver;
 mod jobs;
 mod load;
 mod pool;

@@ -1,14 +1,13 @@
 //! Parallel loading of persisted v2 trace containers into [`SharedTrace`]s,
 //! and the streaming replay path that never materializes one.
 
-use crate::batch::BatchScratch;
-use crate::pool::decode_ahead;
-use crate::shared::shard_of_pc;
+use crate::driver::Tally;
+use crate::replay::config_replays;
 use crate::{ConfigReplay, ReplayEngine, SharedTrace};
-use dvp_core::{AccuracyTracker, PredictorConfig};
+use dvp_core::PredictorConfig;
 use dvp_trace::io::v2;
 use dvp_trace::io::TraceIoError;
-use dvp_trace::{PcId, PcInterner, TraceRecord};
+use dvp_trace::{PcId, TraceRecord};
 use std::io::Read;
 
 impl ReplayEngine {
@@ -145,102 +144,11 @@ impl ReplayEngine {
     /// ```
     pub fn replay_streaming<R: Read>(
         &self,
-        mut reader: R,
+        reader: R,
         bank: &[PredictorConfig],
     ) -> Result<(v2::Header, Vec<ConfigReplay>), TraceIoError> {
-        let (version, header) = v2::read_versioned_header(&mut reader)?;
-        let nshards = self.shards();
-        // One job per (configuration, PC shard), configuration-major;
-        // consumer `c` owns jobs `c, c + consumers, …` so configurations
-        // spread across threads before shards do.
-        let jobs = bank.len() * nshards;
-        let consumers = self.workers().min(jobs);
-        let tallies = decode_ahead(
-            self.chunk_window(),
-            consumers,
-            // Producer (calling thread): read, verify, and decode chunks
-            // in index order. The validated header guarantees contiguous
-            // offsets, so the payload region is consumed front to back.
-            |window| {
-                for (index, info) in header.chunks.iter().enumerate() {
-                    let mut payload = vec![0u8; info.len as usize];
-                    reader.read_exact(&mut payload).map_err(|_| TraceIoError::Format {
-                        message: format!(
-                            "payload ends inside chunk {index} (wanted {} bytes at payload \
-                             offset {})",
-                            info.len, info.offset
-                        ),
-                    })?;
-                    window.push(v2::decode_chunk(&payload, info)?);
-                }
-                let mut rest = Vec::new();
-                reader.read_to_end(&mut rest)?;
-                v2::validate_trailing(version, &rest)?;
-                Ok::<(), TraceIoError>(())
-            },
-            // Consumers: fold every chunk into this thread's owned jobs.
-            |window, consumer| {
-                let owned: Vec<usize> = (consumer..jobs).step_by(consumers.max(1)).collect();
-                let mut states: Vec<(Box<dyn dvp_core::Predictor>, PcInterner, AccuracyTracker)> =
-                    owned
-                        .iter()
-                        .map(|&job| {
-                            (bank[job / nshards].build(), PcInterner::new(), AccuracyTracker::new())
-                        })
-                        .collect();
-                // Record indices by shard, rebuilt once per chunk and
-                // shared by every job this consumer owns.
-                let mut by_shard: Vec<Vec<u32>> = vec![Vec::new(); nshards];
-                let mut scratch = BatchScratch::new();
-                while let Some(chunk) = window.next(consumer) {
-                    if nshards > 1 {
-                        for shard in &mut by_shard {
-                            shard.clear();
-                        }
-                        for (i, rec) in chunk.iter().enumerate() {
-                            by_shard[shard_of_pc(rec.pc, nshards)].push(i as u32);
-                        }
-                    }
-                    for (&job, (predictor, interner, tracker)) in owned.iter().zip(&mut states) {
-                        if nshards > 1 {
-                            for &i in &by_shard[job % nshards] {
-                                let rec = &chunk[i as usize];
-                                scratch.push(interner.intern(rec.pc), rec);
-                            }
-                        } else {
-                            for rec in chunk.iter() {
-                                scratch.push(interner.intern(rec.pc), rec);
-                            }
-                        }
-                        scratch.flush_tally(predictor.as_mut(), tracker);
-                    }
-                }
-                owned
-                    .into_iter()
-                    .zip(states)
-                    .map(|(job, (_, _, tracker))| (job, tracker))
-                    .collect::<Vec<_>>()
-            },
-        )?;
-        // Deterministic merge: per configuration, shard tallies in shard
-        // order (exact integer counts — independent of which consumer ran
-        // which job).
-        let mut by_job: Vec<Option<AccuracyTracker>> = vec![None; jobs];
-        for (job, tracker) in tallies.into_iter().flatten() {
-            by_job[job] = Some(tracker);
-        }
-        let replays = bank
-            .iter()
-            .enumerate()
-            .map(|(ci, config)| {
-                let mut merged = AccuracyTracker::new();
-                for tracker in by_job[ci * nshards..(ci + 1) * nshards].iter().flatten() {
-                    merged.merge(tracker);
-                }
-                ConfigReplay { name: config.name().to_owned(), tracker: merged }
-            })
-            .collect();
-        Ok((header, replays))
+        let (header, cells) = self.replay_stream(reader, bank, Tally::Full)?;
+        Ok((header, config_replays(bank, cells.into_iter())))
     }
 }
 

@@ -1,6 +1,6 @@
 //! The replay engine: fan predictor configurations out over a shared trace.
 
-use crate::batch::BatchScratch;
+use crate::driver::Tally;
 use crate::{par_map, try_par_map, SharedTrace};
 use dvp_core::{AccuracyTracker, PredictorConfig, PredictorSet, SetBatch};
 
@@ -185,44 +185,8 @@ impl ReplayEngine {
         traces: &[SharedTrace],
         bank: &[PredictorConfig],
     ) -> Vec<Vec<ConfigReplay>> {
-        let sharded: Vec<Vec<SharedTrace>> = self.shard_all(traces);
-        let mut jobs: Vec<(SharedTrace, PredictorConfig)> = Vec::new();
-        for shards in &sharded {
-            for config in bank {
-                for shard in shards {
-                    jobs.push((shard.clone(), config.clone()));
-                }
-            }
-        }
-        let tallies = self.map(jobs, |(shard, config)| {
-            let mut predictor = config.build();
-            predictor.reserve_ids(shard.interner().len());
-            let mut tracker = AccuracyTracker::new();
-            let mut scratch = BatchScratch::new();
-            // One observe_batch call per chunk: the records and their
-            // pre-interned ids are already parallel chunk slices.
-            for (records, ids) in shard.chunks().iter().zip(shard.id_chunks()) {
-                scratch.run_slice(&mut predictor, &mut tracker, records, ids);
-            }
-            tracker
-        });
-        // Merge the shard tallies back into (trace, config) cells; exact
-        // counts make the merge independent of execution order.
-        let mut tallies = tallies.into_iter();
-        sharded
-            .iter()
-            .map(|shards| {
-                bank.iter()
-                    .map(|config| {
-                        let mut merged = AccuracyTracker::new();
-                        for _ in 0..shards.len() {
-                            merged.merge(&tallies.next().expect("one tally per job"));
-                        }
-                        ConfigReplay { name: config.name().to_owned(), tracker: merged }
-                    })
-                    .collect()
-            })
-            .collect()
+        let mut cells = self.replay_resident(traces, bank, Tally::Full).into_iter();
+        traces.iter().map(|_| config_replays(bank, cells.by_ref().take(bank.len()))).collect()
     }
 
     /// Replays one trace through *correlated* predictor sets: `build` makes
@@ -254,12 +218,21 @@ impl ReplayEngine {
         }
         merged
     }
+}
 
-    /// Shards every trace, in parallel when it pays.
-    fn shard_all(&self, traces: &[SharedTrace]) -> Vec<Vec<SharedTrace>> {
-        let shards = self.shards;
-        self.map(traces.to_vec(), move |trace| trace.shard_by_pc(shards))
-    }
+/// Pairs each configuration with its merged cell; a full replay's tally
+/// is the cell's only slot.
+pub(crate) fn config_replays(
+    bank: &[PredictorConfig],
+    cells: impl Iterator<Item = Vec<AccuracyTracker>>,
+) -> Vec<ConfigReplay> {
+    bank.iter()
+        .zip(cells)
+        .map(|(config, slots)| ConfigReplay {
+            name: config.name().to_owned(),
+            tracker: slots.into_iter().next().expect("a full replay tallies one slot"),
+        })
+        .collect()
 }
 
 #[cfg(test)]

@@ -53,12 +53,11 @@
 //! detailed, tallied portion is still the same ~10x-smaller record set
 //! — the `repro --sample` harness reports both modes side by side.
 
-use crate::batch::BatchScratch;
-use crate::pool::decode_ahead;
+use crate::driver::Tally;
 use crate::{ReplayEngine, SharedTrace};
 use dvp_core::{AccuracyTracker, PredictorConfig};
 use dvp_trace::io::{v2, TraceIoError};
-use dvp_trace::{InstrCategory, PcInterner, PhasePlan, SimPointPhase, TraceRecord};
+use dvp_trace::{InstrCategory, PhasePlan, SimPointPhase};
 use std::io::Read;
 
 /// Default records per profiling window.
@@ -445,30 +444,6 @@ impl SampledReplay {
     }
 }
 
-/// Calls `visit` with the parallel `(records, ids)` slices of every
-/// chunk overlapping the global index range `start..end`, seeking chunk
-/// by chunk instead of advancing an iterator through the skipped prefix.
-/// The slices arrive in trace order, so driving them through
-/// [`BatchScratch::run_slice`] replays the range exactly.
-fn visit_range<F>(trace: &SharedTrace, start: u64, end: u64, mut visit: F)
-where
-    F: FnMut(&[TraceRecord], &[dvp_trace::PcId]),
-{
-    let mut base = 0u64;
-    for (chunk, ids) in trace.chunks().iter().zip(trace.id_chunks()) {
-        let chunk_end = base + chunk.len() as u64;
-        if chunk_end > start && base < end {
-            let lo = start.saturating_sub(base) as usize;
-            let hi = (end.min(chunk_end) - base) as usize;
-            visit(&chunk[lo..hi], &ids[lo..hi]);
-        }
-        base = chunk_end;
-        if base >= end {
-            break;
-        }
-    }
-}
-
 impl ReplayEngine {
     /// Replays only the plan's representative windows — one independent
     /// job per (configuration, phase) on this engine's worker pool —
@@ -514,41 +489,10 @@ impl ReplayEngine {
         bank: &[PredictorConfig],
         plan: &PhasePlan,
     ) -> Vec<SampledReplay> {
-        plan.validate().expect("sampled replay needs a valid phase plan");
-        assert_eq!(
-            plan.total_records,
-            trace.len() as u64,
-            "phase plan was built for a different trace"
-        );
-        let jobs: Vec<(usize, usize)> = (0..bank.len())
-            .flat_map(|config| (0..plan.phases.len()).map(move |phase| (config, phase)))
-            .collect();
-        let tallies = self.map(jobs, |(config, phase)| {
-            let phase = &plan.phases[phase];
-            let mut predictor = bank[config].build();
-            predictor.reserve_ids(trace.interner().len());
-            let mut scratch = BatchScratch::new();
-            visit_range(
-                trace,
-                phase.start.saturating_sub(plan.warmup_records),
-                phase.start,
-                |recs, ids| scratch.observe_slice(predictor.as_mut(), recs, ids),
-            );
-            let mut tracker = AccuracyTracker::new();
-            visit_range(trace, phase.start, phase.end, |recs, ids| {
-                scratch.run_slice(predictor.as_mut(), &mut tracker, recs, ids);
-            });
-            tracker
-        });
-        let mut tallies = tallies.into_iter();
-        bank.iter()
-            .map(|config| SampledReplay {
-                name: config.name().to_owned(),
-                phases: (0..plan.phases.len())
-                    .map(|_| tallies.next().expect("one tally per job"))
-                    .collect(),
-            })
-            .collect()
+        sampled_replays(
+            bank,
+            self.replay_resident(std::slice::from_ref(trace), bank, Tally::Cold(plan)),
+        )
     }
 
     /// Functionally-warmed sampled replay: one predictor per
@@ -581,65 +525,10 @@ impl ReplayEngine {
         bank: &[PredictorConfig],
         plan: &PhasePlan,
     ) -> Vec<SampledReplay> {
-        plan.validate().expect("sampled replay needs a valid phase plan");
-        assert_eq!(
-            plan.total_records,
-            trace.len() as u64,
-            "phase plan was built for a different trace"
-        );
-        let nshards = self.shards();
-        let jobs: Vec<(usize, usize)> = (0..bank.len())
-            .flat_map(|config| (0..nshards).map(move |shard| (config, shard)))
-            .collect();
-        let tallies = self.map(jobs, |(config, shard)| {
-            let mut predictor = bank[config].build();
-            predictor.reserve_ids(trace.interner().len());
-            let mut phases = vec![AccuracyTracker::new(); plan.phases.len()];
-            // Gather this shard's records chunk by chunk (with their
-            // global positions), flush the batch, then walk the outcomes
-            // against the plan's windows. The phase pointer advances by
-            // monotonic position catch-up, so skipping other shards'
-            // records cannot change which window a tallied record lands
-            // in.
-            let mut scratch = BatchScratch::new();
-            let mut positions: Vec<u64> = Vec::new();
-            let mut next = 0usize;
-            let mut base = 0u64;
-            for (chunk, ids) in trace.chunks().iter().zip(trace.id_chunks()) {
-                for (i, (rec, &id)) in chunk.iter().zip(ids).enumerate() {
-                    if nshards == 1 || crate::shard_of_pc(rec.pc, nshards) == shard {
-                        scratch.push(id, rec);
-                        positions.push(base + i as u64);
-                    }
-                }
-                scratch.flush(predictor.as_mut());
-                for (&pos, (category, hit)) in positions.iter().zip(scratch.outcomes()) {
-                    while next < plan.phases.len() && pos >= plan.phases[next].end {
-                        next += 1;
-                    }
-                    if next < plan.phases.len() && pos >= plan.phases[next].start {
-                        phases[next].record(category, hit);
-                    }
-                }
-                scratch.clear();
-                positions.clear();
-                base += chunk.len() as u64;
-            }
-            phases
-        });
-        let mut tallies = tallies.into_iter();
-        bank.iter()
-            .map(|config| {
-                let mut merged = vec![AccuracyTracker::new(); plan.phases.len()];
-                for _ in 0..nshards {
-                    let shard = tallies.next().expect("one tally per job");
-                    for (into, from) in merged.iter_mut().zip(&shard) {
-                        into.merge(from);
-                    }
-                }
-                SampledReplay { name: config.name().to_owned(), phases: merged }
-            })
-            .collect()
+        sampled_replays(
+            bank,
+            self.replay_resident(std::slice::from_ref(trace), bank, Tally::Warm(plan)),
+        )
     }
 
     /// The streaming counterpart of
@@ -667,117 +556,12 @@ impl ReplayEngine {
     /// inside a chunk, or a torn trailing section.
     pub fn replay_sampled_streaming<R: Read>(
         &self,
-        mut reader: R,
+        reader: R,
         bank: &[PredictorConfig],
         plan: &PhasePlan,
     ) -> Result<(v2::Header, Vec<SampledReplay>), TraceIoError> {
-        plan.validate().map_err(|e| TraceIoError::Format { message: e.to_string() })?;
-        let (version, header) = v2::read_versioned_header(&mut reader)?;
-        if plan.total_records != header.record_count {
-            return Err(TraceIoError::Format {
-                message: format!(
-                    "phase plan covers {} records but the container holds {}",
-                    plan.total_records, header.record_count
-                ),
-            });
-        }
-        // Per-phase replay ranges, in plan order: warmup start, window
-        // start (tallying begins), window end.
-        let ranges: Vec<(u64, u64, u64)> = plan
-            .phases
-            .iter()
-            .map(|p| (p.start.saturating_sub(plan.warmup_records), p.start, p.end))
-            .collect();
-        let nphases = plan.phases.len();
-        let jobs = bank.len() * nphases;
-        let consumers = self.workers().min(jobs);
-        let tallies = decode_ahead(
-            self.chunk_window(),
-            consumers,
-            // Producer: stream every chunk's bytes, but decode only the
-            // chunks some phase touches. Chunks are pushed with their
-            // global record base so consumers can slice them.
-            |window| {
-                let mut base = 0u64;
-                for (index, info) in header.chunks.iter().enumerate() {
-                    let mut payload = vec![0u8; info.len as usize];
-                    reader.read_exact(&mut payload).map_err(|_| TraceIoError::Format {
-                        message: format!(
-                            "payload ends inside chunk {index} (wanted {} bytes at payload \
-                             offset {})",
-                            info.len, info.offset
-                        ),
-                    })?;
-                    let chunk_end = base + u64::from(info.records);
-                    if ranges.iter().any(|&(warm, _, end)| warm < chunk_end && base < end) {
-                        window.push((base, v2::decode_chunk(&payload, info)?));
-                    }
-                    base = chunk_end;
-                }
-                let mut rest = Vec::new();
-                reader.read_to_end(&mut rest)?;
-                v2::validate_trailing(version, &rest)?;
-                Ok::<(), TraceIoError>(())
-            },
-            // Consumers: configuration-major job ownership, as in
-            // replay_streaming. Each job interns PCs privately; dense
-            // ids differ from the resident path's, but per-PC slot
-            // streams (and therefore tallies) are identical.
-            |window, consumer| {
-                let owned: Vec<usize> = (consumer..jobs).step_by(consumers.max(1)).collect();
-                let mut states: Vec<(Box<dyn dvp_core::Predictor>, PcInterner, AccuracyTracker)> =
-                    owned
-                        .iter()
-                        .map(|&job| {
-                            (bank[job / nphases].build(), PcInterner::new(), AccuracyTracker::new())
-                        })
-                        .collect();
-                let mut scratch = BatchScratch::new();
-                while let Some(chunk) = window.next(consumer) {
-                    let (base, records) = &*chunk;
-                    let chunk_end = base + records.len() as u64;
-                    for (&job, (predictor, interner, tracker)) in owned.iter().zip(&mut states) {
-                        let (warm, start, end) = ranges[job % nphases];
-                        let slice = |lo: u64, hi: u64| {
-                            let lo = lo.max(*base) - base;
-                            let hi = hi.min(chunk_end) - base;
-                            &records[lo as usize..hi as usize]
-                        };
-                        if warm < start && *base < start && chunk_end > warm {
-                            for rec in slice(warm, start) {
-                                scratch.push(interner.intern(rec.pc), rec);
-                            }
-                            scratch.flush(predictor.as_mut());
-                            scratch.clear();
-                        }
-                        if *base < end && chunk_end > start {
-                            for rec in slice(start, end) {
-                                scratch.push(interner.intern(rec.pc), rec);
-                            }
-                            scratch.flush_tally(predictor.as_mut(), tracker);
-                        }
-                    }
-                }
-                owned
-                    .into_iter()
-                    .zip(states)
-                    .map(|(job, (_, _, tracker))| (job, tracker))
-                    .collect::<Vec<_>>()
-            },
-        )?;
-        let mut by_job: Vec<AccuracyTracker> = vec![AccuracyTracker::new(); jobs];
-        for (job, tracker) in tallies.into_iter().flatten() {
-            by_job[job] = tracker;
-        }
-        let mut by_job = by_job.into_iter();
-        let replays = bank
-            .iter()
-            .map(|config| SampledReplay {
-                name: config.name().to_owned(),
-                phases: (0..nphases).map(|_| by_job.next().expect("one tally per job")).collect(),
-            })
-            .collect();
-        Ok((header, replays))
+        let (header, cells) = self.replay_stream(reader, bank, Tally::Cold(plan))?;
+        Ok((header, sampled_replays(bank, cells)))
     }
 
     /// The streaming counterpart of
@@ -803,119 +587,24 @@ impl ReplayEngine {
     /// a chunk, or a torn trailing section.
     pub fn replay_sampled_warm_streaming<R: Read>(
         &self,
-        mut reader: R,
+        reader: R,
         bank: &[PredictorConfig],
         plan: &PhasePlan,
     ) -> Result<(v2::Header, Vec<SampledReplay>), TraceIoError> {
-        plan.validate().map_err(|e| TraceIoError::Format { message: e.to_string() })?;
-        let (version, header) = v2::read_versioned_header(&mut reader)?;
-        if plan.total_records != header.record_count {
-            return Err(TraceIoError::Format {
-                message: format!(
-                    "phase plan covers {} records but the container holds {}",
-                    plan.total_records, header.record_count
-                ),
-            });
-        }
-        let nphases = plan.phases.len();
-        let nshards = self.shards();
-        let jobs = bank.len() * nshards;
-        let consumers = self.workers().min(jobs);
-        let tallies = decode_ahead(
-            self.chunk_window(),
-            consumers,
-            // Producer: decode every chunk in index order, tagged with
-            // its global record base so consumers can track positions.
-            |window| {
-                let mut base = 0u64;
-                for (index, info) in header.chunks.iter().enumerate() {
-                    let mut payload = vec![0u8; info.len as usize];
-                    reader.read_exact(&mut payload).map_err(|_| TraceIoError::Format {
-                        message: format!(
-                            "payload ends inside chunk {index} (wanted {} bytes at payload \
-                             offset {})",
-                            info.len, info.offset
-                        ),
-                    })?;
-                    window.push((base, v2::decode_chunk(&payload, info)?));
-                    base += u64::from(info.records);
-                }
-                let mut rest = Vec::new();
-                reader.read_to_end(&mut rest)?;
-                v2::validate_trailing(version, &rest)?;
-                Ok::<(), TraceIoError>(())
-            },
-            // Consumers: configuration-major job ownership. Each job
-            // observes every record (interning PCs privately) and
-            // tallies only window records.
-            |window, consumer| {
-                let owned: Vec<usize> = (consumer..jobs).step_by(consumers.max(1)).collect();
-                type WarmState =
-                    (Box<dyn dvp_core::Predictor>, PcInterner, Vec<AccuracyTracker>, usize);
-                let mut states: Vec<WarmState> = owned
-                    .iter()
-                    .map(|&job| {
-                        (
-                            bank[job / nshards].build(),
-                            PcInterner::new(),
-                            vec![AccuracyTracker::new(); nphases],
-                            0usize,
-                        )
-                    })
-                    .collect();
-                let mut scratch = BatchScratch::new();
-                let mut positions: Vec<u64> = Vec::new();
-                while let Some(chunk) = window.next(consumer) {
-                    let (base, records) = &*chunk;
-                    for (&job, (predictor, interner, phases, next)) in owned.iter().zip(&mut states)
-                    {
-                        let shard = job % nshards;
-                        for (pos, rec) in (*base..).zip(records.iter()) {
-                            if nshards == 1 || crate::shard_of_pc(rec.pc, nshards) == shard {
-                                scratch.push(interner.intern(rec.pc), rec);
-                                positions.push(pos);
-                            }
-                        }
-                        scratch.flush(predictor.as_mut());
-                        for (&pos, (category, hit)) in positions.iter().zip(scratch.outcomes()) {
-                            while *next < nphases && pos >= plan.phases[*next].end {
-                                *next += 1;
-                            }
-                            if *next < nphases && pos >= plan.phases[*next].start {
-                                phases[*next].record(category, hit);
-                            }
-                        }
-                        scratch.clear();
-                        positions.clear();
-                    }
-                }
-                owned
-                    .into_iter()
-                    .zip(states)
-                    .map(|(job, (_, _, phases, _))| (job, phases))
-                    .collect::<Vec<_>>()
-            },
-        )?;
-        let mut by_job: Vec<Vec<AccuracyTracker>> =
-            vec![vec![AccuracyTracker::new(); nphases]; jobs];
-        for (job, phases) in tallies.into_iter().flatten() {
-            by_job[job] = phases;
-        }
-        let replays = bank
-            .iter()
-            .enumerate()
-            .map(|(config, spec)| {
-                let mut merged = vec![AccuracyTracker::new(); nphases];
-                for shard in 0..nshards {
-                    for (into, from) in merged.iter_mut().zip(&by_job[config * nshards + shard]) {
-                        into.merge(from);
-                    }
-                }
-                SampledReplay { name: spec.name().to_owned(), phases: merged }
-            })
-            .collect();
-        Ok((header, replays))
+        let (header, cells) = self.replay_stream(reader, bank, Tally::Warm(plan))?;
+        Ok((header, sampled_replays(bank, cells)))
     }
+}
+
+/// Pairs each configuration with its merged per-phase tallies.
+fn sampled_replays(
+    bank: &[PredictorConfig],
+    cells: Vec<Vec<AccuracyTracker>>,
+) -> Vec<SampledReplay> {
+    bank.iter()
+        .zip(cells)
+        .map(|(config, phases)| SampledReplay { name: config.name().to_owned(), phases })
+        .collect()
 }
 
 #[cfg(test)]

@@ -1012,6 +1012,35 @@ pub fn write_records<W: Write>(
     write(writer, meta, records.chunks(chunk_capacity))
 }
 
+/// Reads the stored payload of chunk `index` (`info.len` bytes) from a
+/// reader positioned at it into `buf`, replacing `buf`'s contents.
+///
+/// `buf` grows only as bytes arrive: `info.len` is checksummed but
+/// otherwise unbounded, so sizing an allocation by it would let a crafted
+/// header claim up to 4 GiB before the first payload byte is read.
+/// Streaming readers reuse one buffer across chunks.
+///
+/// # Errors
+///
+/// Returns a [`TraceIoError::Format`] when the stream ends inside the
+/// chunk, or [`TraceIoError::Io`] on read failure.
+pub fn read_chunk_payload<R: Read>(
+    reader: &mut R,
+    index: usize,
+    info: &ChunkInfo,
+    buf: &mut Vec<u8>,
+) -> Result<(), TraceIoError> {
+    buf.clear();
+    let got = reader.by_ref().take(u64::from(info.len)).read_to_end(buf)?;
+    if got == info.len as usize {
+        return Ok(());
+    }
+    Err(format_err(format!(
+        "payload ends inside chunk {index} (wanted {} bytes at payload offset {}, got {got})",
+        info.len, info.offset
+    )))
+}
+
 /// Reads a whole v2 container sequentially, validating every checksum and
 /// rejecting trailing bytes after the last chunk.
 ///
@@ -1024,11 +1053,9 @@ pub fn read<R: Read>(reader: &mut R) -> Result<(Header, Vec<TraceRecord>), Trace
     // against the index but the payloads may still be absent, and a
     // hostile header must not size an allocation.
     let mut records = Vec::new();
+    let mut payload = Vec::new();
     for (i, info) in header.chunks.iter().enumerate() {
-        let mut payload = vec![0u8; info.len as usize];
-        reader.read_exact(&mut payload).map_err(|_| {
-            format_err(format!("payload truncated inside chunk {i} (of {})", header.chunks.len()))
-        })?;
+        read_chunk_payload(reader, i, info, &mut payload)?;
         records.extend(decode_chunk(&payload, info)?);
     }
     if version_has_sections(version) {
@@ -1189,6 +1216,42 @@ mod tests {
         for cut in [3, 8, 20, buf.len() / 2, buf.len() - 1] {
             assert!(read(&mut buf[..cut].as_ref()).is_err(), "cut at {cut} must fail");
         }
+    }
+
+    #[test]
+    fn huge_declared_chunk_over_a_short_reader_is_a_bounded_error() {
+        // A checksum-valid header whose one chunk claims u32::MAX payload
+        // bytes, followed by only 100 of them.
+        let header = Header {
+            meta: meta(),
+            record_count: 1,
+            chunk_capacity: 1,
+            chunks: vec![ChunkInfo {
+                offset: 0,
+                len: u32::MAX,
+                raw_len: u32::MAX,
+                records: 1,
+                checksum: 0,
+                compressed: false,
+            }],
+        };
+        let tail = encode_header_tail(&header, false).expect("encodes");
+        let mut bytes = MAGIC.to_vec();
+        bytes.extend_from_slice(&fnv1a(&tail).to_le_bytes());
+        bytes.extend_from_slice(&tail);
+        bytes.extend_from_slice(&[0u8; 100]);
+
+        let mut reader = bytes.as_slice();
+        let (_, parsed) = read_versioned_header(&mut reader).expect("header validates");
+        assert_eq!(parsed.chunks[0].len, u32::MAX);
+        let mut buf = Vec::new();
+        let err = read_chunk_payload(&mut reader, 0, &parsed.chunks[0], &mut buf).unwrap_err();
+        assert!(err.to_string().contains("ends inside chunk 0"), "{err}");
+        assert_eq!(buf.len(), 100);
+        assert!(buf.capacity() < 1 << 20, "buffer grew to {} bytes", buf.capacity());
+
+        let err = read(&mut bytes.as_slice()).unwrap_err();
+        assert!(err.to_string().contains("ends inside chunk 0"), "{err}");
     }
 
     #[test]
