@@ -10,7 +10,7 @@ use dvp_core::{
     LastValuePolicy, LastValuePredictor, Predictor, StridePolicy, StridePredictor,
     TypedHybridPredictor,
 };
-use dvp_trace::TraceRecord;
+use dvp_trace::{PcInterner, TraceRecord};
 use dvp_workloads::Benchmark;
 use std::hint::black_box;
 use std::time::Duration;
@@ -230,8 +230,9 @@ fn bench_confidence(c: &mut Criterion) {
             rows.push((name.to_owned(), accuracy(&mut FcmPredictor::new(2), trace)));
         } else {
             let mut p = ConfidentPredictor::new(FcmPredictor::new(2), 8, threshold, 4);
+            let mut interner = PcInterner::new();
             for rec in trace {
-                p.observe_speculative(rec.pc, rec.value);
+                p.observe_speculative(interner.intern(rec.pc), rec.pc, rec.value);
             }
             rows.push((
                 format!("{name} (cov {:.0}%)", 100.0 * p.coverage()),
@@ -249,8 +250,9 @@ fn bench_confidence(c: &mut Criterion) {
     group.bench_function("conf_t2_fcm2", |b| {
         b.iter(|| {
             let mut p = ConfidentPredictor::new(FcmPredictor::new(2), 8, 2, 4);
+            let mut interner = PcInterner::new();
             for rec in trace {
-                p.observe_speculative(rec.pc, rec.value);
+                p.observe_speculative(interner.intern(rec.pc), rec.pc, rec.value);
             }
             black_box(p.coverage())
         });

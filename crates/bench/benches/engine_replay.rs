@@ -10,7 +10,7 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use dvp_bench::shared_workload_trace;
-use dvp_core::{AccuracyTracker, Predictor, PredictorConfig};
+use dvp_core::{AccuracyTracker, PcKeyed, Predictor, PredictorConfig};
 use dvp_engine::{phase_plan, PhaseOptions, ReplayEngine};
 use dvp_workloads::Benchmark;
 use std::hint::black_box;
@@ -20,7 +20,8 @@ fn sequential_lockstep(
     trace: &dvp_engine::SharedTrace,
     bank: &[PredictorConfig],
 ) -> Vec<AccuracyTracker> {
-    let mut predictors: Vec<Box<dyn Predictor>> = bank.iter().map(PredictorConfig::build).collect();
+    let mut predictors: Vec<PcKeyed<Box<dyn Predictor>>> =
+        bank.iter().map(|config| PcKeyed::new(config.build())).collect();
     let mut trackers = vec![AccuracyTracker::new(); predictors.len()];
     for rec in trace.iter() {
         for (p, tracker) in predictors.iter_mut().zip(&mut trackers) {

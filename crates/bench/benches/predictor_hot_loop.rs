@@ -7,8 +7,8 @@
 //!   `HashMap<Pc, _>` with the classic two-probe predict-then-update
 //!   protocol (exactly what every `dvp-core` predictor did before PC
 //!   interning);
-//! * `pc-fused` — the current `Pc`-keyed surface (`observe`): one hash
-//!   probe per record, both halves fused on the located slot;
+//! * `pc-fused` — the `PcKeyed` adapter (`observe`): one interner hash
+//!   probe per record, then the fused dense step on the located slot;
 //! * `dense` — the engine's replay path (`observe_id` over the trace's
 //!   pre-interned ids): one indexed slot access, no hashing at all.
 //!
@@ -18,7 +18,9 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use dvp_bench::workload_trace;
-use dvp_core::{FcmPredictor, HybridPredictor, LastValuePredictor, Predictor, StridePredictor};
+use dvp_core::{
+    FcmPredictor, HybridPredictor, LastValuePredictor, PcKeyed, Predictor, StridePredictor,
+};
 use dvp_engine::SharedTrace;
 use dvp_trace::{Pc, Value};
 use dvp_workloads::Benchmark;
@@ -108,7 +110,8 @@ fn hashmap_stride(trace: &SharedTrace) -> u64 {
     correct
 }
 
-fn drive_pc(mut p: impl Predictor, trace: &SharedTrace) -> u64 {
+fn drive_pc(p: impl Predictor, trace: &SharedTrace) -> u64 {
+    let mut p = PcKeyed::new(p);
     let mut correct = 0u64;
     for rec in trace.iter() {
         correct += u64::from(p.observe(rec.pc, rec.value));

@@ -3,7 +3,7 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use dvp_core::sequences::{constant, non_stride, repeated_non_stride, repeated_stride, stride};
-use dvp_core::{FcmPredictor, LastValuePredictor, Predictor, StridePredictor};
+use dvp_core::{FcmPredictor, LastValuePredictor, PcKeyed, Predictor, StridePredictor};
 use dvp_trace::Pc;
 use std::hint::black_box;
 use std::time::Duration;
@@ -35,7 +35,7 @@ fn bench(c: &mut Criterion) {
             let name = predictors()[make].name().to_owned();
             group.bench_with_input(BenchmarkId::new(name, class), values, |b, values| {
                 b.iter(|| {
-                    let mut p = predictors().remove(make);
+                    let mut p = PcKeyed::new(predictors().remove(make));
                     let mut correct = 0u32;
                     for &v in values {
                         correct += u32::from(p.observe(Pc(0), v));

@@ -11,7 +11,7 @@
 //! tracks the resulting coverage/accuracy trade-off.
 
 use crate::Predictor;
-use dvp_trace::{Pc, Value};
+use dvp_trace::{Pc, PcId, Value};
 use std::collections::HashMap;
 
 /// Outcome of one confident observation.
@@ -37,15 +37,15 @@ pub enum SpeculationOutcome {
 /// # Examples
 ///
 /// ```
-/// use dvp_core::{ConfidentPredictor, LastValuePredictor, Predictor};
-/// use dvp_trace::Pc;
+/// use dvp_core::{ConfidentPredictor, LastValuePredictor};
+/// use dvp_trace::{Pc, PcId};
 ///
 /// let mut p = ConfidentPredictor::new(LastValuePredictor::new(), 4, 2, 2);
-/// let pc = Pc(0x60);
+/// let (id, pc) = (PcId(0), Pc(0x60)); // the only instruction: dense id 0
 /// // A noisy PC: alternating values never build confidence, so the
 /// // wrapped predictor stays quiet instead of being wrong half the time.
 /// for &v in [1u64, 2].iter().cycle().take(20) {
-///     p.observe_speculative(pc, v);
+///     p.observe_speculative(id, pc, v);
 /// }
 /// assert_eq!(p.coverage(), 0.0);
 /// ```
@@ -98,10 +98,12 @@ impl<P: Predictor> ConfidentPredictor<P> {
         self.counters.get(&pc).copied().unwrap_or(0)
     }
 
-    /// One full speculation step: decide, check, update.
-    pub fn observe_speculative(&mut self, pc: Pc, actual: Value) -> SpeculationOutcome {
+    /// One full speculation step for the instruction `id` at `pc`: decide,
+    /// check, update. The confidence counters are keyed by `pc`; `id` is
+    /// passed through to the wrapped predictor.
+    pub fn observe_speculative(&mut self, id: PcId, pc: Pc, actual: Value) -> SpeculationOutcome {
         self.total += 1;
-        let raw = self.inner.predict(pc);
+        let raw = self.inner.predict_id(id, pc);
         let confident = self.confidence(pc) >= self.threshold;
         let outcome = match raw {
             Some(value) if confident => {
@@ -122,7 +124,7 @@ impl<P: Predictor> ConfidentPredictor<P> {
                 *counter = counter.saturating_sub(self.penalty);
             }
         }
-        self.inner.update(pc, actual);
+        self.inner.update_id(id, pc, actual);
         outcome
     }
 
@@ -148,27 +150,27 @@ impl<P: Predictor> ConfidentPredictor<P> {
 }
 
 impl<P: Predictor> Predictor for ConfidentPredictor<P> {
-    /// Exposes a prediction only above the confidence threshold.
-    fn predict(&self, pc: Pc) -> Option<Value> {
-        if self.confidence(pc) >= self.threshold {
-            self.inner.predict(pc)
-        } else {
-            None
-        }
-    }
-
-    fn update(&mut self, pc: Pc, actual: Value) {
-        // Route through the speculation bookkeeping so the two APIs agree.
-        let _ = self.observe_speculative(pc, actual);
-        self.total -= 1; // observe() callers count totals themselves
-    }
-
     fn name(&self) -> &str {
         &self.name
     }
 
     fn static_entries(&self) -> usize {
         self.inner.static_entries()
+    }
+
+    /// Exposes a prediction only above the confidence threshold.
+    fn predict_id(&self, id: PcId, pc: Pc) -> Option<Value> {
+        if self.confidence(pc) >= self.threshold {
+            self.inner.predict_id(id, pc)
+        } else {
+            None
+        }
+    }
+
+    fn update_id(&mut self, id: PcId, pc: Pc, actual: Value) {
+        // Route through the speculation bookkeeping so the two APIs agree.
+        let _ = self.observe_speculative(id, pc, actual);
+        self.total -= 1; // observe_id() callers count totals themselves
     }
 }
 
@@ -177,24 +179,25 @@ mod tests {
     use super::*;
     use crate::{LastValuePredictor, StridePredictor};
 
+    const ID: PcId = PcId(0);
     const PC: Pc = Pc(0x900);
 
     #[test]
     fn confidence_gates_predictions() {
         let mut p = ConfidentPredictor::new(LastValuePredictor::new(), 4, 2, 2);
-        p.observe_speculative(PC, 7); // no prediction yet
-        assert_eq!(p.predict(PC), None, "confidence 0 suppresses");
-        p.observe_speculative(PC, 7); // underlying correct -> conf 1
-        assert_eq!(p.predict(PC), None);
-        p.observe_speculative(PC, 7); // conf 2 == threshold
-        assert_eq!(p.predict(PC), Some(7));
+        p.observe_speculative(ID, PC, 7); // no prediction yet
+        assert_eq!(p.predict_id(ID, PC), None, "confidence 0 suppresses");
+        p.observe_speculative(ID, PC, 7); // underlying correct -> conf 1
+        assert_eq!(p.predict_id(ID, PC), None);
+        p.observe_speculative(ID, PC, 7); // conf 2 == threshold
+        assert_eq!(p.predict_id(ID, PC), Some(7));
     }
 
     #[test]
     fn noisy_streams_are_suppressed_entirely() {
         let mut p = ConfidentPredictor::new(LastValuePredictor::new(), 4, 2, 2);
         for &v in [1u64, 2, 3].iter().cycle().take(60) {
-            p.observe_speculative(PC, v);
+            p.observe_speculative(ID, PC, v);
         }
         assert_eq!(p.coverage(), 0.0);
         assert_eq!(p.speculated_accuracy(), 1.0, "vacuous accuracy when suppressed");
@@ -209,13 +212,13 @@ mod tests {
         let mut raw = LastValuePredictor::new();
         let mut raw_correct = 0u64;
         for &v in &values {
-            raw_correct += u64::from(raw.observe(PC, v));
+            raw_correct += u64::from(raw.observe_id(ID, PC, v));
         }
         let raw_acc = raw_correct as f64 / values.len() as f64;
 
         let mut conf = ConfidentPredictor::new(LastValuePredictor::new(), 8, 4, 4);
         for &v in &values {
-            conf.observe_speculative(PC, v);
+            conf.observe_speculative(ID, PC, v);
         }
         assert!(conf.coverage() > 0.1, "coverage {}", conf.coverage());
         assert!(
@@ -230,10 +233,10 @@ mod tests {
     fn penalty_resets_confidence_fast() {
         let mut p = ConfidentPredictor::new(LastValuePredictor::new(), 4, 2, 4);
         for _ in 0..6 {
-            p.observe_speculative(PC, 9);
+            p.observe_speculative(ID, PC, 9);
         }
         assert!(p.confidence(PC) >= 2);
-        p.observe_speculative(PC, 10); // one miss wipes confidence
+        p.observe_speculative(ID, PC, 10); // one miss wipes confidence
         assert_eq!(p.confidence(PC), 0);
     }
 
@@ -241,12 +244,12 @@ mod tests {
     fn works_with_any_inner_predictor() {
         let mut p = ConfidentPredictor::new(StridePredictor::two_delta(), 4, 1, 1);
         for v in (0..20u64).map(|i| 10 * i) {
-            p.observe_speculative(PC, v);
+            p.observe_speculative(ID, PC, v);
         }
-        assert_eq!(p.predict(PC), Some(200));
+        assert_eq!(p.predict_id(ID, PC), Some(200));
         assert!(p.name().starts_with("conf1of4(s2"));
         assert_eq!(p.static_entries(), 1);
-        assert!(p.inner().predict(PC).is_some());
+        assert!(p.inner().predict_id(ID, PC).is_some());
     }
 
     #[test]
@@ -254,7 +257,7 @@ mod tests {
         let mut p = ConfidentPredictor::new(LastValuePredictor::new(), 4, 1, 1);
         let mut correct = 0;
         for _ in 0..10 {
-            correct += u32::from(p.observe(PC, 3));
+            correct += u32::from(p.observe_id(ID, PC, 3));
         }
         assert!(correct >= 8);
     }

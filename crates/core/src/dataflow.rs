@@ -22,7 +22,7 @@
 //! pipeline could get from the studied predictors.
 
 use crate::Predictor;
-use dvp_trace::DepNode;
+use dvp_trace::{DepNode, PcInterner};
 
 /// The longest data-dependence chain in `nodes`, in unit-latency cycles.
 ///
@@ -148,6 +148,7 @@ pub fn value_predicted_height(
     // When a consumer may use node i's value: 0 if predicted correctly,
     // vp_finish + penalty if mispredicted, vp_finish if unpredicted.
     let mut avail = vec![0u64; nodes.len()];
+    let mut interner = PcInterner::new();
     let mut report = SpeedupReport {
         base_height: 0,
         vp_height: 0,
@@ -168,9 +169,7 @@ pub fn value_predicted_height(
         avail[i] = match node.record {
             Some(rec) => {
                 report.predictable += 1;
-                let prediction = predictor.predict(rec.pc);
-                predictor.update(rec.pc, rec.value);
-                match prediction {
+                match predictor.step_id(interner.intern(rec.pc), rec.pc, rec.value) {
                     Some(v) if v == rec.value => {
                         report.predicted += 1;
                         report.correct += 1;

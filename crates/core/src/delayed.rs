@@ -21,20 +21,20 @@ use std::collections::VecDeque;
 /// Wraps a predictor so that updates take effect only after `delay` further
 /// observations — the update latency of a real pipeline.
 ///
-/// The wrapper intercepts [`update`](Predictor::update): the (pc, value)
-/// pair is queued and the oldest queued update is applied to the inner
-/// predictor once the queue exceeds `delay`. Predictions pass through to the
-/// inner predictor's (stale) state; pending updates are **not** consulted,
-/// which is precisely the hazard a delayed-update pipeline suffers on
-/// tight-loop instructions.
+/// The wrapper intercepts [`update_id`](Predictor::update_id): the
+/// (id, pc, value) triple is queued and the oldest queued update is applied
+/// to the inner predictor once the queue exceeds `delay`. Predictions pass
+/// through to the inner predictor's (stale) state; pending updates are
+/// **not** consulted, which is precisely the hazard a delayed-update
+/// pipeline suffers on tight-loop instructions.
 ///
 /// # Examples
 ///
 /// ```
-/// use dvp_core::{DelayedPredictor, LastValuePredictor, Predictor};
+/// use dvp_core::{DelayedPredictor, LastValuePredictor, PcKeyed};
 /// use dvp_trace::Pc;
 ///
-/// let mut p = DelayedPredictor::new(LastValuePredictor::new(), 2);
+/// let mut p = PcKeyed::new(DelayedPredictor::new(LastValuePredictor::new(), 2));
 /// let pc = Pc(0x40);
 /// p.update(pc, 7);
 /// // The update is still in flight:
@@ -48,7 +48,7 @@ pub struct DelayedPredictor<P> {
     inner: P,
     name: String,
     delay: usize,
-    pending: VecDeque<(Option<PcId>, Pc, Value)>,
+    pending: VecDeque<(PcId, Pc, Value)>,
 }
 
 impl<P: Predictor> DelayedPredictor<P> {
@@ -91,38 +91,12 @@ impl<P: Predictor> DelayedPredictor<P> {
     /// Applies all pending updates immediately.
     pub fn drain(&mut self) {
         while let Some((id, pc, value)) = self.pending.pop_front() {
-            self.apply(id, pc, value);
-        }
-    }
-
-    /// Applies one drained update through whichever keying surface queued
-    /// it.
-    fn apply(&mut self, id: Option<PcId>, pc: Pc, value: Value) {
-        match id {
-            Some(id) => self.inner.update_id(id, pc, value),
-            None => self.inner.update(pc, value),
-        }
-    }
-
-    /// Queues one update and applies everything past the latency window.
-    fn enqueue(&mut self, id: Option<PcId>, pc: Pc, actual: Value) {
-        self.pending.push_back((id, pc, actual));
-        while self.pending.len() > self.delay {
-            let (i, p, v) = self.pending.pop_front().expect("non-empty: len > delay >= 0");
-            self.apply(i, p, v);
+            self.inner.update_id(id, pc, value);
         }
     }
 }
 
 impl<P: Predictor> Predictor for DelayedPredictor<P> {
-    fn predict(&self, pc: Pc) -> Option<Value> {
-        self.inner.predict(pc)
-    }
-
-    fn update(&mut self, pc: Pc, actual: Value) {
-        self.enqueue(None, pc, actual);
-    }
-
     fn name(&self) -> &str {
         &self.name
     }
@@ -140,30 +114,28 @@ impl<P: Predictor> Predictor for DelayedPredictor<P> {
         self.inner.predict_id(id, pc)
     }
 
+    /// Queues the update and applies everything past the latency window.
     #[inline]
     fn update_id(&mut self, id: PcId, pc: Pc, actual: Value) {
-        self.enqueue(Some(id), pc, actual);
-    }
-
-    #[inline]
-    fn step_id(&mut self, id: PcId, pc: Pc, actual: Value) -> Option<Value> {
-        let prediction = self.inner.predict_id(id, pc);
-        self.enqueue(Some(id), pc, actual);
-        prediction
+        self.pending.push_back((id, pc, actual));
+        while self.pending.len() > self.delay {
+            let (i, p, v) = self.pending.pop_front().expect("non-empty: len > delay >= 0");
+            self.inner.update_id(i, p, v);
+        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{FcmPredictor, LastValuePredictor, StridePredictor};
+    use crate::{FcmPredictor, LastValuePredictor, PcKeyed, StridePredictor};
 
     const PC: Pc = Pc(0x40);
 
     #[test]
     fn zero_delay_is_transparent() {
-        let mut delayed = DelayedPredictor::new(StridePredictor::two_delta(), 0);
-        let mut direct = StridePredictor::two_delta();
+        let mut delayed = PcKeyed::new(DelayedPredictor::new(StridePredictor::two_delta(), 0));
+        let mut direct = PcKeyed::new(StridePredictor::two_delta());
         for step in 0u64..500 {
             let pc = Pc(0x100 + (step % 7) * 4);
             let value = step.wrapping_mul(0x9e37_79b9) >> 13;
@@ -171,27 +143,27 @@ mod tests {
             delayed.update(pc, value);
             direct.update(pc, value);
         }
-        assert_eq!(delayed.in_flight(), 0);
+        assert_eq!(delayed.inner().in_flight(), 0);
     }
 
     #[test]
     fn updates_apply_after_exactly_delay_observations() {
-        let mut p = DelayedPredictor::new(LastValuePredictor::new(), 3);
+        let mut p = PcKeyed::new(DelayedPredictor::new(LastValuePredictor::new(), 3));
         p.update(PC, 1);
-        assert_eq!(p.in_flight(), 1);
+        assert_eq!(p.inner().in_flight(), 1);
         p.update(PC, 2);
         p.update(PC, 3);
-        assert_eq!(p.in_flight(), 3);
+        assert_eq!(p.inner().in_flight(), 3);
         assert_eq!(p.predict(PC), None, "nothing applied yet");
         p.update(PC, 4);
-        assert_eq!(p.in_flight(), 3);
+        assert_eq!(p.inner().in_flight(), 3);
         assert_eq!(p.predict(PC), Some(1), "oldest update applied");
     }
 
     #[test]
     fn constant_sequences_are_immune_to_delay() {
         // A constant stream mispredicts only during the pipeline fill.
-        let mut p = DelayedPredictor::new(LastValuePredictor::new(), 8);
+        let mut p = PcKeyed::new(DelayedPredictor::new(LastValuePredictor::new(), 8));
         let mut correct = 0;
         for _ in 0..100 {
             correct += u32::from(p.observe(PC, 42));
@@ -204,7 +176,7 @@ mod tests {
         // With immediate update a stride sequence is exact from value 3; with
         // delay d, the predictor's "last" lags d behind and every prediction
         // is off by d strides.
-        let mut delayed = DelayedPredictor::new(StridePredictor::two_delta(), 4);
+        let mut delayed = PcKeyed::new(DelayedPredictor::new(StridePredictor::two_delta(), 4));
         let mut correct = 0;
         for v in (0u64..200).map(|i| i * 10) {
             correct += u32::from(delayed.observe(PC, v));
@@ -212,7 +184,7 @@ mod tests {
         assert_eq!(correct, 0, "stale last value shifts every stride prediction");
 
         // The same predictor with delay 0 is near-perfect.
-        let mut direct = DelayedPredictor::new(StridePredictor::two_delta(), 0);
+        let mut direct = PcKeyed::new(DelayedPredictor::new(StridePredictor::two_delta(), 0));
         let mut direct_correct = 0;
         for v in (0u64..200).map(|i| i * 10) {
             direct_correct += u32::from(direct.observe(PC, v));
@@ -222,20 +194,20 @@ mod tests {
 
     #[test]
     fn drain_applies_everything() {
-        let mut p = DelayedPredictor::new(LastValuePredictor::new(), 16);
+        let mut p = PcKeyed::new(DelayedPredictor::new(LastValuePredictor::new(), 16));
         p.update(PC, 9);
         assert_eq!(p.predict(PC), None);
-        p.drain();
-        assert_eq!(p.in_flight(), 0);
+        p.inner_mut().drain();
+        assert_eq!(p.inner().in_flight(), 0);
         assert_eq!(p.predict(PC), Some(9));
     }
 
     #[test]
     fn into_inner_drains_first() {
-        let mut p = DelayedPredictor::new(LastValuePredictor::new(), 5);
+        let mut p = PcKeyed::new(DelayedPredictor::new(LastValuePredictor::new(), 5));
         p.update(PC, 3);
-        let inner = p.into_inner();
-        assert_eq!(inner.predict(PC), Some(3));
+        let inner = p.into_inner().into_inner();
+        assert_eq!(inner.predict_id(PcId(0), PC), Some(3));
     }
 
     #[test]
@@ -248,7 +220,7 @@ mod tests {
     fn interleaved_pcs_drain_in_order() {
         // Updates to different PCs share one in-order pipeline, as writeback
         // order would.
-        let mut p = DelayedPredictor::new(LastValuePredictor::new(), 2);
+        let mut p = PcKeyed::new(DelayedPredictor::new(LastValuePredictor::new(), 2));
         p.update(Pc(0), 10);
         p.update(Pc(4), 20);
         assert_eq!(p.predict(Pc(0)), None);

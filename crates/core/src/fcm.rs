@@ -39,7 +39,7 @@
 
 use std::ops::Range;
 
-use crate::table::PcIndex;
+use crate::table::OneInterner;
 use crate::Predictor;
 use dvp_trace::{Pc, PcId, Value};
 
@@ -550,10 +550,10 @@ struct Descent {
 /// # Examples
 ///
 /// ```
-/// use dvp_core::{FcmPredictor, Predictor};
+/// use dvp_core::{FcmPredictor, PcKeyed};
 /// use dvp_trace::Pc;
 ///
-/// let mut p = FcmPredictor::new(2);
+/// let mut p = PcKeyed::new(FcmPredictor::new(2));
 /// let pc = Pc(0x10);
 /// // A repeating non-stride sequence: 1 -13 99 1 -13 99 ...
 /// let seq = [1u64, (-13i64) as u64, 99];
@@ -571,7 +571,7 @@ pub struct FcmPredictor {
     blending: Blending,
     counter_mode: CounterMode,
     name: String,
-    index: PcIndex,
+    interner: OneInterner,
     /// Per-slot recent values, strided `order` wide, newest last within
     /// `hist_len[slot]`.
     hist: Vec<Value>,
@@ -620,7 +620,7 @@ impl FcmPredictor {
             blending,
             counter_mode,
             name,
-            index: PcIndex::new(),
+            interner: OneInterner::default(),
             hist: Vec::new(),
             hist_len: Vec::new(),
             ghash: Vec::new(),
@@ -797,34 +797,21 @@ impl FcmPredictor {
 }
 
 impl Predictor for FcmPredictor {
-    fn predict(&self, pc: Pc) -> Option<Value> {
-        let id = self.index.get(pc)?;
-        self.predict_slot(id.index())
-    }
-
-    fn update(&mut self, pc: Pc, actual: Value) {
-        let slot = self.index.intern(pc).index();
-        self.ensure_slot(slot);
-        let d = self.descend(slot);
-        self.apply_update(slot, &d, actual);
-    }
-
-    fn step(&mut self, pc: Pc, actual: Value) -> Option<Value> {
-        let slot = self.index.intern(pc).index();
-        self.ensure_slot(slot);
-        self.step_slot(slot, actual)
-    }
-
     fn name(&self) -> &str {
         &self.name
     }
 
     fn static_entries(&self) -> usize {
-        self.index.len()
+        // A touched slot has history (order >= 1) or owns exactly one
+        // entry, its empty order-0 context (order 0).
+        if self.order == 0 {
+            self.vht.len()
+        } else {
+            self.hist_len.iter().filter(|&&len| len > 0).count()
+        }
     }
 
     fn reserve_ids(&mut self, n: usize) {
-        self.index.reserve(n);
         if n > 0 {
             self.ensure_slot(n - 1);
         }
@@ -837,18 +824,14 @@ impl Predictor for FcmPredictor {
 
     #[inline]
     fn update_id(&mut self, id: PcId, pc: Pc, actual: Value) {
-        let slot = id.index();
-        self.ensure_slot(slot);
-        self.index.adopt(id, pc);
-        let d = self.descend(slot);
-        self.apply_update(slot, &d, actual);
+        let _ = self.step_id(id, pc, actual);
     }
 
     #[inline]
     fn step_id(&mut self, id: PcId, pc: Pc, actual: Value) -> Option<Value> {
         let slot = id.index();
         self.ensure_slot(slot);
-        self.index.adopt(id, pc);
+        self.interner.check(id, pc);
         self.step_slot(slot, actual)
     }
 }
@@ -856,10 +839,11 @@ impl Predictor for FcmPredictor {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::PcKeyed;
 
     const PC: Pc = Pc(0x300);
 
-    fn feed(p: &mut FcmPredictor, seq: &[Value]) -> Vec<Option<Value>> {
+    fn feed(p: &mut PcKeyed<FcmPredictor>, seq: &[Value]) -> Vec<Option<Value>> {
         seq.iter()
             .map(|&v| {
                 let pred = p.predict(PC);
@@ -871,7 +855,7 @@ mod tests {
 
     #[test]
     fn predicts_repeated_non_stride_sequence_after_one_period() {
-        let mut p = FcmPredictor::new(2);
+        let mut p = PcKeyed::new(FcmPredictor::new(2));
         let period = [1u64, u64::MAX - 12, 99, 7];
         let seq: Vec<Value> = period.iter().copied().cycle().take(16).collect();
         let preds = feed(&mut p, &seq);
@@ -884,7 +868,7 @@ mod tests {
 
     #[test]
     fn predicts_repeated_stride_sequence() {
-        let mut p = FcmPredictor::new(2);
+        let mut p = PcKeyed::new(FcmPredictor::new(2));
         let seq: Vec<Value> = (0..24).map(|i| 1 + (i % 4)).collect();
         let preds = feed(&mut p, &seq);
         for (i, (&pred, &actual)) in preds.iter().zip(&seq).enumerate().skip(6) {
@@ -896,7 +880,7 @@ mod tests {
     fn cannot_predict_novel_stride_sequence() {
         // A pure (non-repeating) stride sequence never repeats a context, so
         // the high orders never match; the low orders predict stale values.
-        let mut p = FcmPredictor::new(3);
+        let mut p = PcKeyed::new(FcmPredictor::new(3));
         let seq: Vec<Value> = (0..32).map(|i| 10 + 3 * i).collect();
         let preds = feed(&mut p, &seq);
         let correct = preds.iter().zip(&seq).filter(|(&p, &a)| p == Some(a)).count();
@@ -910,7 +894,11 @@ mod tests {
         let seq = [a, a, a, b, c, a, a, a, b, c, a, a, a];
         // Single-order models exactly as drawn in the figure.
         for (order, expected) in [(0, a), (1, a), (2, a), (3, b)] {
-            let mut p = FcmPredictor::with_config(order, Blending::SingleOrder, CounterMode::Exact);
+            let mut p = PcKeyed::new(FcmPredictor::with_config(
+                order,
+                Blending::SingleOrder,
+                CounterMode::Exact,
+            ));
             for &v in &seq {
                 p.update(PC, v);
             }
@@ -920,7 +908,7 @@ mod tests {
 
     #[test]
     fn order_zero_is_a_frequency_table() {
-        let mut p = FcmPredictor::new(0);
+        let mut p = PcKeyed::new(FcmPredictor::new(0));
         for &v in &[5u64, 5, 5, 9, 9] {
             p.update(PC, v);
         }
@@ -933,7 +921,7 @@ mod tests {
 
     #[test]
     fn ties_break_toward_most_recent_value() {
-        let mut p = FcmPredictor::new(0);
+        let mut p = PcKeyed::new(FcmPredictor::new(0));
         p.update(PC, 1);
         p.update(PC, 2);
         // Both values have count 1; 2 is more recent.
@@ -945,7 +933,7 @@ mod tests {
 
     #[test]
     fn blending_falls_back_to_lower_orders() {
-        let mut p = FcmPredictor::new(3);
+        let mut p = PcKeyed::new(FcmPredictor::new(3));
         // Only two values seen: order-3 context cannot exist yet, but lower
         // orders still predict.
         p.update(PC, 4);
@@ -955,7 +943,8 @@ mod tests {
 
     #[test]
     fn single_order_makes_no_prediction_without_full_context_match() {
-        let mut p = FcmPredictor::with_config(2, Blending::SingleOrder, CounterMode::Exact);
+        let mut p =
+            PcKeyed::new(FcmPredictor::with_config(2, Blending::SingleOrder, CounterMode::Exact));
         p.update(PC, 1);
         p.update(PC, 2);
         p.update(PC, 3);
@@ -966,8 +955,10 @@ mod tests {
     #[test]
     fn lazy_exclusion_does_not_update_lower_orders_on_high_match() {
         // Construct a case where lazy exclusion and full blending diverge.
-        let mut lazy = FcmPredictor::with_config(1, Blending::LazyExclusion, CounterMode::Exact);
-        let mut full = FcmPredictor::with_config(1, Blending::Full, CounterMode::Exact);
+        let mut lazy =
+            PcKeyed::new(FcmPredictor::with_config(1, Blending::LazyExclusion, CounterMode::Exact));
+        let mut full =
+            PcKeyed::new(FcmPredictor::with_config(1, Blending::Full, CounterMode::Exact));
         // Sequence: 1 2 1 2 1 2 ... then suddenly a fresh context.
         for &v in &[1u64, 2, 1, 2, 1, 2] {
             lazy.update(PC, v);
@@ -990,7 +981,7 @@ mod tests {
     #[test]
     fn saturating_counters_halve_and_adapt_faster() {
         let mode = CounterMode::Saturating { max: 4 };
-        let mut p = FcmPredictor::with_config(0, Blending::SingleOrder, mode);
+        let mut p = PcKeyed::new(FcmPredictor::with_config(0, Blending::SingleOrder, mode));
         // Value 7 is seen many times; counts saturate around max.
         for _ in 0..100 {
             p.update(PC, 7);
@@ -1003,7 +994,8 @@ mod tests {
         assert_eq!(p.predict(PC), Some(9), "saturating counters favour recent history");
 
         // With exact counters the same burst cannot overtake.
-        let mut exact = FcmPredictor::with_config(0, Blending::SingleOrder, CounterMode::Exact);
+        let mut exact =
+            PcKeyed::new(FcmPredictor::with_config(0, Blending::SingleOrder, CounterMode::Exact));
         for _ in 0..100 {
             exact.update(PC, 7);
         }
@@ -1015,26 +1007,30 @@ mod tests {
 
     #[test]
     fn no_aliasing_between_pcs() {
-        let mut p = FcmPredictor::new(1);
-        for i in 0..4 {
-            p.update(Pc(0), 10);
-            p.update(Pc(4), 20);
-            let _ = i;
+        // Order 0 keeps no history, so it counts touched slots by their
+        // order-0 contexts instead.
+        for order in [0, 1] {
+            let mut p = PcKeyed::new(FcmPredictor::new(order));
+            for i in 0..4 {
+                p.update(Pc(0), 10);
+                p.update(Pc(4), 20);
+                let _ = i;
+            }
+            assert_eq!(p.predict(Pc(0)), Some(10));
+            assert_eq!(p.predict(Pc(4)), Some(20));
+            assert_eq!(p.static_entries(), 2, "order {order}");
         }
-        assert_eq!(p.predict(Pc(0)), Some(10));
-        assert_eq!(p.predict(Pc(4)), Some(20));
-        assert_eq!(p.static_entries(), 2);
     }
 
     #[test]
     fn context_entries_grow_with_distinct_contexts() {
-        let mut p = FcmPredictor::new(1);
-        assert_eq!(p.context_entries(), 0);
+        let mut p = PcKeyed::new(FcmPredictor::new(1));
+        assert_eq!(p.inner().context_entries(), 0);
         p.update(PC, 1);
         p.update(PC, 2);
         p.update(PC, 3);
         // Order 0 has one (empty) context; order 1 has contexts (1,) and (2,).
-        assert_eq!(p.context_entries(), 3);
+        assert_eq!(p.inner().context_entries(), 3);
     }
 
     #[test]
@@ -1056,7 +1052,8 @@ mod tests {
     fn spilled_context_keys_do_not_alias() {
         // Order > INLINE_KEY forces keys through the spill arena; distinct
         // 5-value contexts must stay distinct (full-concatenation match).
-        let mut p = FcmPredictor::with_config(5, Blending::SingleOrder, CounterMode::Exact);
+        let mut p =
+            PcKeyed::new(FcmPredictor::with_config(5, Blending::SingleOrder, CounterMode::Exact));
         let period = [11u64, 22, 33, 44, 55, 66, 77];
         for &v in period.iter().cycle().take(42) {
             p.update(PC, v);
@@ -1073,7 +1070,7 @@ mod tests {
     fn high_fanout_contexts_spill_and_keep_exact_argmax() {
         // One order-0 context followed by many distinct values exercises the
         // follower spill arena and the front-is-argmax invariant.
-        let mut p = FcmPredictor::new(0);
+        let mut p = PcKeyed::new(FcmPredictor::new(0));
         for v in 0..40u64 {
             p.update(PC, v);
         }
@@ -1084,17 +1081,20 @@ mod tests {
         }
         // 17 now has count 3 — the clear argmax.
         assert_eq!(p.predict(PC), Some(17));
-        assert_eq!(p.context_entries(), 1);
+        assert_eq!(p.inner().context_entries(), 1);
     }
 
     #[test]
     fn halving_an_indexed_list_rebuilds_its_index() {
         let mode = CounterMode::Saturating { max: 4 };
-        let mut p = FcmPredictor::with_config(0, Blending::SingleOrder, mode);
+        let mut p = PcKeyed::new(FcmPredictor::with_config(0, Blending::SingleOrder, mode));
         for v in 0..64u64 {
             p.update(PC, v);
         }
-        assert!(p.vht.entries[0].is_indexed(), "64 followers must pass the index threshold");
+        assert!(
+            p.inner().vht.entries[0].is_indexed(),
+            "64 followers must pass the index threshold"
+        );
         p.update(PC, 20);
         p.update(PC, 20);
         for _ in 0..3 {
@@ -1102,7 +1102,7 @@ mod tests {
         }
         // 7 reached max = 4: halving leaves {7: 2, 20: 1} and drops the
         // sixty-two count-1 followers, compacting the list.
-        assert_eq!(p.vht.entries[0].len, 2);
+        assert_eq!(p.inner().vht.entries[0].len, 2);
         assert_eq!(p.predict(PC), Some(7));
         // 20 moved offset; the rebuilt index must find it (a duplicate
         // count-1 row would leave 7 on top).
@@ -1114,18 +1114,30 @@ mod tests {
         assert_eq!(p.predict(PC), Some(20));
         p.update(PC, 3);
         assert_eq!(p.predict(PC), Some(3));
-        assert_eq!(p.vht.entries[0].len, 3);
+        assert_eq!(p.inner().vht.entries[0].len, 3);
     }
 
     #[test]
     fn saturating_halving_can_empty_a_context_which_then_reseeds() {
         // max = 1: every bump halves the just-bumped count back to zero, so
         // the context stays empty and never predicts — but keeps existing.
-        let mut p =
-            FcmPredictor::with_config(0, Blending::SingleOrder, CounterMode::Saturating { max: 1 });
+        let mut p = PcKeyed::new(FcmPredictor::with_config(
+            0,
+            Blending::SingleOrder,
+            CounterMode::Saturating { max: 1 },
+        ));
         p.update(PC, 5);
         p.update(PC, 5);
         assert_eq!(p.predict(PC), None);
-        assert_eq!(p.context_entries(), 1);
+        assert_eq!(p.inner().context_entries(), 1);
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "two different interners")]
+    fn one_id_for_two_pcs_panics_in_debug_builds() {
+        let mut p = FcmPredictor::new(2);
+        p.update_id(PcId(0), Pc(0x10), 1);
+        p.update_id(PcId(0), Pc(0x20), 2);
     }
 }

@@ -28,14 +28,13 @@
 //!   instead of exact per-value counts.
 
 use crate::Predictor;
-use dvp_trace::{Pc, Value};
+use dvp_trace::{Pc, PcId, Value};
 
-// The finite predictors keep their direct-mapped, PC-hashed tables even on
-// the dense id surface: aliasing between static instructions is the very
-// effect they exist to measure, so the default `*_id` fallbacks (which
-// route to the PC-keyed methods and ignore the id) are exactly right. Each
-// predictor overrides `step` so the fallback fused path computes its slot
-// index and tag once per record instead of twice.
+// The finite predictors index their direct-mapped tables by hashing the PC
+// and ignore the dense id: aliasing between static instructions is the
+// very effect they exist to measure. Each predictor's fused `step_id`
+// computes its slot index and tag once per record, and `update_id` is that
+// step with the prediction discarded.
 
 /// Geometry of one direct-mapped prediction table.
 ///
@@ -190,10 +189,10 @@ struct LastValueSlot {
 /// # Examples
 ///
 /// ```
-/// use dvp_core::{FiniteLastValuePredictor, Predictor, TableSpec};
+/// use dvp_core::{FiniteLastValuePredictor, PcKeyed, TableSpec};
 /// use dvp_trace::Pc;
 ///
-/// let mut p = FiniteLastValuePredictor::new(TableSpec::new(8));
+/// let mut p = PcKeyed::new(FiniteLastValuePredictor::new(TableSpec::new(8)));
 /// let pc = Pc(0x400100);
 /// p.update(pc, 7);
 /// assert_eq!(p.predict(pc), Some(7));
@@ -227,30 +226,29 @@ impl FiniteLastValuePredictor {
 }
 
 impl Predictor for FiniteLastValuePredictor {
-    fn predict(&self, pc: Pc) -> Option<Value> {
-        let slot = self.slots[self.spec.index_of(pc)].as_ref()?;
-        (slot.tag == self.spec.tag_of(pc)).then_some(slot.value)
-    }
-
-    fn update(&mut self, pc: Pc, actual: Value) {
-        self.slots[self.spec.index_of(pc)] =
-            Some(LastValueSlot { tag: self.spec.tag_of(pc), value: actual });
-    }
-
-    fn step(&mut self, pc: Pc, actual: Value) -> Option<Value> {
-        let tag = self.spec.tag_of(pc);
-        let slot = &mut self.slots[self.spec.index_of(pc)];
-        let prediction = slot.as_ref().and_then(|s| (s.tag == tag).then_some(s.value));
-        *slot = Some(LastValueSlot { tag, value: actual });
-        prediction
-    }
-
     fn name(&self) -> &str {
         &self.name
     }
 
     fn static_entries(&self) -> usize {
         self.slots.iter().filter(|s| s.is_some()).count()
+    }
+
+    fn predict_id(&self, _id: PcId, pc: Pc) -> Option<Value> {
+        let slot = self.slots[self.spec.index_of(pc)].as_ref()?;
+        (slot.tag == self.spec.tag_of(pc)).then_some(slot.value)
+    }
+
+    fn update_id(&mut self, id: PcId, pc: Pc, actual: Value) {
+        let _ = self.step_id(id, pc, actual);
+    }
+
+    fn step_id(&mut self, _id: PcId, pc: Pc, actual: Value) -> Option<Value> {
+        let tag = self.spec.tag_of(pc);
+        let slot = &mut self.slots[self.spec.index_of(pc)];
+        let prediction = slot.as_ref().and_then(|s| (s.tag == tag).then_some(s.value));
+        *slot = Some(LastValueSlot { tag, value: actual });
+        prediction
     }
 }
 
@@ -272,10 +270,10 @@ struct StrideSlot {
 /// # Examples
 ///
 /// ```
-/// use dvp_core::{FiniteStridePredictor, Predictor, TableSpec};
+/// use dvp_core::{FiniteStridePredictor, PcKeyed, TableSpec};
 /// use dvp_trace::Pc;
 ///
-/// let mut p = FiniteStridePredictor::new(TableSpec::new(8).with_tag_bits(8));
+/// let mut p = PcKeyed::new(FiniteStridePredictor::new(TableSpec::new(8).with_tag_bits(8)));
 /// let pc = Pc(0x80);
 /// for v in [10, 20, 30] {
 ///     p.update(pc, v);
@@ -311,28 +309,24 @@ impl FiniteStridePredictor {
 }
 
 impl Predictor for FiniteStridePredictor {
-    fn predict(&self, pc: Pc) -> Option<Value> {
+    fn name(&self) -> &str {
+        &self.name
+    }
+
+    fn static_entries(&self) -> usize {
+        self.slots.iter().filter(|s| s.is_some()).count()
+    }
+
+    fn predict_id(&self, _id: PcId, pc: Pc) -> Option<Value> {
         let slot = self.slots[self.spec.index_of(pc)].as_ref()?;
         (slot.tag == self.spec.tag_of(pc)).then(|| slot.last.wrapping_add(slot.stride))
     }
 
-    fn update(&mut self, pc: Pc, actual: Value) {
-        let tag = self.spec.tag_of(pc);
-        let slot = &mut self.slots[self.spec.index_of(pc)];
-        match slot {
-            Some(s) if s.tag == tag => {
-                let delta = actual.wrapping_sub(s.last);
-                if delta == s.last_delta {
-                    s.stride = delta;
-                }
-                s.last_delta = delta;
-                s.last = actual;
-            }
-            _ => *slot = Some(StrideSlot { tag, last: actual, stride: 0, last_delta: 0 }),
-        }
+    fn update_id(&mut self, id: PcId, pc: Pc, actual: Value) {
+        let _ = self.step_id(id, pc, actual);
     }
 
-    fn step(&mut self, pc: Pc, actual: Value) -> Option<Value> {
+    fn step_id(&mut self, _id: PcId, pc: Pc, actual: Value) -> Option<Value> {
         let tag = self.spec.tag_of(pc);
         let slot = &mut self.slots[self.spec.index_of(pc)];
         match slot {
@@ -351,14 +345,6 @@ impl Predictor for FiniteStridePredictor {
                 None
             }
         }
-    }
-
-    fn name(&self) -> &str {
-        &self.name
-    }
-
-    fn static_entries(&self) -> usize {
-        self.slots.iter().filter(|s| s.is_some()).count()
     }
 }
 
@@ -390,10 +376,10 @@ struct VptSlot {
 /// # Examples
 ///
 /// ```
-/// use dvp_core::{FiniteFcmPredictor, Predictor, TableSpec};
+/// use dvp_core::{FiniteFcmPredictor, PcKeyed, TableSpec};
 /// use dvp_trace::Pc;
 ///
-/// let mut p = FiniteFcmPredictor::new(2, TableSpec::new(8), TableSpec::new(12));
+/// let mut p = PcKeyed::new(FiniteFcmPredictor::new(2, TableSpec::new(8), TableSpec::new(12)));
 /// let pc = Pc(0x10);
 /// // Repeating non-stride sequence: learnable by context, not by stride.
 /// for _ in 0..3 {
@@ -539,32 +525,6 @@ impl FiniteFcmPredictor {
 }
 
 impl Predictor for FiniteFcmPredictor {
-    fn predict(&self, pc: Pc) -> Option<Value> {
-        let vpt_index = self.vpt_index(pc)?;
-        self.vpt[vpt_index].as_ref().map(|s| s.value)
-    }
-
-    fn update(&mut self, pc: Pc, actual: Value) {
-        // Update the VPT entry for the *current* context first...
-        if let Some(vpt_index) = self.vpt_index(pc) {
-            self.train_vpt(vpt_index, actual);
-        }
-        // ...then shift the new value into the VHT history.
-        self.shift_vht(pc, actual);
-    }
-
-    fn step(&mut self, pc: Pc, actual: Value) -> Option<Value> {
-        // The fused path hashes the context once for both the prediction
-        // read and the VPT training write.
-        let mut prediction = None;
-        if let Some(vpt_index) = self.vpt_index(pc) {
-            prediction = self.vpt[vpt_index].as_ref().map(|s| s.value);
-            self.train_vpt(vpt_index, actual);
-        }
-        self.shift_vht(pc, actual);
-        prediction
-    }
-
     fn name(&self) -> &str {
         &self.name
     }
@@ -572,12 +532,34 @@ impl Predictor for FiniteFcmPredictor {
     fn static_entries(&self) -> usize {
         self.vht.iter().filter(|s| s.is_some()).count()
     }
+
+    fn predict_id(&self, _id: PcId, pc: Pc) -> Option<Value> {
+        let vpt_index = self.vpt_index(pc)?;
+        self.vpt[vpt_index].as_ref().map(|s| s.value)
+    }
+
+    fn update_id(&mut self, id: PcId, pc: Pc, actual: Value) {
+        let _ = self.step_id(id, pc, actual);
+    }
+
+    fn step_id(&mut self, _id: PcId, pc: Pc, actual: Value) -> Option<Value> {
+        // Read and train the VPT entry of the *current* context (hashed
+        // once for both)...
+        let mut prediction = None;
+        if let Some(vpt_index) = self.vpt_index(pc) {
+            prediction = self.vpt[vpt_index].as_ref().map(|s| s.value);
+            self.train_vpt(vpt_index, actual);
+        }
+        // ...then shift the new value into the VHT history.
+        self.shift_vht(pc, actual);
+        prediction
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{LastValuePredictor, StridePredictor};
+    use crate::{LastValuePredictor, PcKeyed, StridePredictor};
 
     const PC: Pc = Pc(0x400100);
 
@@ -661,8 +643,8 @@ mod tests {
         // 16 distinct PCs in a 256-slot tagged table: no collisions by
         // construction (consecutive word addresses map to consecutive slots).
         let spec = TableSpec::new(8).with_tag_bits(8);
-        let mut finite = FiniteLastValuePredictor::new(spec);
-        let mut ideal = LastValuePredictor::new();
+        let mut finite = PcKeyed::new(FiniteLastValuePredictor::new(spec));
+        let mut ideal = PcKeyed::new(LastValuePredictor::new());
         let mut state = 0x1234_5678_u64;
         for step in 0..2000 {
             state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
@@ -677,8 +659,8 @@ mod tests {
     #[test]
     fn finite_stride_matches_unbounded_without_aliasing() {
         let spec = TableSpec::new(8).with_tag_bits(8);
-        let mut finite = FiniteStridePredictor::new(spec);
-        let mut ideal = StridePredictor::two_delta();
+        let mut finite = PcKeyed::new(FiniteStridePredictor::new(spec));
+        let mut ideal = PcKeyed::new(StridePredictor::two_delta());
         for step in 0u64..3000 {
             let pc = Pc(0x400000 + (step % 32) * 4);
             // Mix of stride-y and erratic values.
@@ -692,7 +674,7 @@ mod tests {
     #[test]
     fn untagged_aliasing_is_destructive_for_last_value() {
         let spec = TableSpec::new(4);
-        let mut p = FiniteLastValuePredictor::new(spec);
+        let mut p = PcKeyed::new(FiniteLastValuePredictor::new(spec));
         let (a, b) = colliding_pair(spec);
         // Interleaved constant streams: each observation clobbers the other.
         let mut correct = 0;
@@ -703,7 +685,7 @@ mod tests {
         assert_eq!(correct, 0, "untagged aliasing destroys two constant streams");
 
         // The unbounded predictor gets all but the two cold misses.
-        let mut ideal = LastValuePredictor::new();
+        let mut ideal = PcKeyed::new(LastValuePredictor::new());
         let mut ideal_correct = 0;
         for _ in 0..50 {
             ideal_correct += u32::from(ideal.observe(a, 111));
@@ -715,7 +697,7 @@ mod tests {
     #[test]
     fn tagged_aliasing_thrashes_but_never_mispredicts_across_pcs() {
         let spec = TableSpec::new(4).with_tag_bits(8);
-        let mut p = FiniteLastValuePredictor::new(spec);
+        let mut p = PcKeyed::new(FiniteLastValuePredictor::new(spec));
         let (a, b) = colliding_pair(spec);
         for _ in 0..10 {
             // After b's update, a's lookup tag-mismatches: no prediction,
@@ -729,7 +711,7 @@ mod tests {
 
     #[test]
     fn finite_fcm_learns_repeated_non_stride_sequence() {
-        let mut p = FiniteFcmPredictor::new(2, TableSpec::new(8), TableSpec::new(12));
+        let mut p = PcKeyed::new(FiniteFcmPredictor::new(2, TableSpec::new(8), TableSpec::new(12)));
         let period = [9u64, 4, 7, 12];
         let mut preds = Vec::new();
         for _ in 0..6 {
@@ -745,13 +727,13 @@ mod tests {
 
     #[test]
     fn finite_fcm_cold_start_makes_no_prediction() {
-        let p = FiniteFcmPredictor::new(3, TableSpec::new(6), TableSpec::new(10));
+        let p = PcKeyed::new(FiniteFcmPredictor::new(3, TableSpec::new(6), TableSpec::new(10)));
         assert_eq!(p.predict(PC), None);
     }
 
     #[test]
     fn finite_fcm_needs_full_history_before_predicting() {
-        let mut p = FiniteFcmPredictor::new(3, TableSpec::new(6), TableSpec::new(10));
+        let mut p = PcKeyed::new(FiniteFcmPredictor::new(3, TableSpec::new(6), TableSpec::new(10)));
         p.update(PC, 1);
         p.update(PC, 2);
         assert_eq!(p.predict(PC), None, "only 2 of 3 history values present");
@@ -765,7 +747,7 @@ mod tests {
     fn finite_fcm_replacement_hysteresis_protects_stable_value() {
         // With a warm counter, a single interfering write does not evict the
         // established prediction.
-        let mut p = FiniteFcmPredictor::new(1, TableSpec::new(4), TableSpec::new(8));
+        let mut p = PcKeyed::new(FiniteFcmPredictor::new(1, TableSpec::new(4), TableSpec::new(8)));
         // Train: context [7] -> 7 repeatedly (constant stream).
         for _ in 0..10 {
             p.update(PC, 7);
@@ -780,8 +762,12 @@ mod tests {
 
     #[test]
     fn finite_fcm_replace_max_zero_always_replaces() {
-        let mut p =
-            FiniteFcmPredictor::with_replace_max(1, TableSpec::new(4), TableSpec::new(8), 0);
+        let mut p = PcKeyed::new(FiniteFcmPredictor::with_replace_max(
+            1,
+            TableSpec::new(4),
+            TableSpec::new(8),
+            0,
+        ));
         for _ in 0..10 {
             p.update(PC, 7);
         }
@@ -793,7 +779,7 @@ mod tests {
     #[test]
     fn vht_eviction_loses_history() {
         let vht = TableSpec::new(2).with_tag_bits(8); // 4 slots
-        let mut p = FiniteFcmPredictor::new(2, vht, TableSpec::new(10));
+        let mut p = PcKeyed::new(FiniteFcmPredictor::new(2, vht, TableSpec::new(10)));
         let (a, b) = colliding_pair(vht); // same VHT slot, different tag
         for _ in 0..4 {
             for v in [1u64, 2, 3] {
@@ -832,7 +818,7 @@ mod tests {
 
     #[test]
     fn static_entries_counts_occupied_slots() {
-        let mut p = FiniteLastValuePredictor::new(TableSpec::new(8));
+        let mut p = PcKeyed::new(FiniteLastValuePredictor::new(TableSpec::new(8)));
         assert_eq!(p.static_entries(), 0);
         p.update(Pc(0x0), 1);
         p.update(Pc(0x4), 2);
@@ -840,5 +826,29 @@ mod tests {
         // Updating the same PC does not add a slot.
         p.update(Pc(0x0), 3);
         assert_eq!(p.static_entries(), 2);
+    }
+
+    #[test]
+    fn unseen_pc_through_pc_keyed_reports_the_alias() {
+        // `PcKeyed::predict` never interns: a never-seen PC reaches the
+        // table as the next free id. A finite table ignores the id and
+        // hashes the PC, so an untagged alias shows through; a tagged
+        // table and a dense table both answer `None`.
+        let untagged = TableSpec::new(4);
+        let (a, b) = colliding_pair(untagged);
+        let mut p = PcKeyed::new(FiniteLastValuePredictor::new(untagged));
+        p.update(a, 111);
+        assert_eq!(p.predict(b), Some(111));
+        assert_eq!(p.interner().get(b), None, "predict must not intern");
+
+        let tagged = TableSpec::new(4).with_tag_bits(8);
+        let (a, b) = colliding_pair(tagged);
+        let mut p = PcKeyed::new(FiniteLastValuePredictor::new(tagged));
+        p.update(a, 111);
+        assert_eq!(p.predict(b), None);
+
+        let mut p = PcKeyed::new(LastValuePredictor::new());
+        p.update(a, 111);
+        assert_eq!(p.predict(b), None);
     }
 }

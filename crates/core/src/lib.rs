@@ -20,6 +20,10 @@
 //! component with a per-PC chooser, following the hybrid scheme the paper
 //! motivates in its Section 4.2.
 //!
+//! Predictors are keyed by the dense [`PcId`](dvp_trace::PcId) of an
+//! interned trace (see [`Predictor`]); [`PcKeyed`] wraps any of them for
+//! callers that hold bare PCs.
+//!
 //! Evaluation scaffolding lives alongside the predictors:
 //! [`PredictorSet`] correlates the correct-prediction sets of several
 //! predictors (Figure 8/9 of the paper), [`AccuracyTracker`] and
@@ -30,7 +34,7 @@
 //! # Quickstart
 //!
 //! ```
-//! use dvp_core::{FcmPredictor, Predictor, StridePredictor};
+//! use dvp_core::{FcmPredictor, PcKeyed, StridePredictor};
 //! use dvp_trace::Pc;
 //!
 //! // A repeating non-stride sequence, the kind only context-based
@@ -38,8 +42,8 @@
 //! let sequence = [1u64, 42, 7, 1, 42, 7, 1, 42, 7];
 //! let pc = Pc(0x400100);
 //!
-//! let mut stride = StridePredictor::two_delta();
-//! let mut fcm = FcmPredictor::new(2);
+//! let mut stride = PcKeyed::new(StridePredictor::two_delta());
+//! let mut fcm = PcKeyed::new(FcmPredictor::new(2));
 //! let mut stride_correct = 0;
 //! let mut fcm_correct = 0;
 //! for &v in &sequence {
@@ -68,6 +72,7 @@ mod fcm;
 mod finite;
 mod finite_hybrid;
 mod hybrid;
+mod keyed;
 mod last_value;
 mod locality;
 mod predictor;
@@ -93,6 +98,7 @@ pub use finite::{
 };
 pub use finite_hybrid::FiniteHybridPredictor;
 pub use hybrid::HybridPredictor;
+pub use keyed::PcKeyed;
 pub use last_value::{LastValuePolicy, LastValuePredictor};
 pub use locality::LocalityProfile;
 pub use predictor::Predictor;

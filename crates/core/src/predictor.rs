@@ -13,122 +13,96 @@ use dvp_trace::{Pc, PcId, Value};
 /// * are updated **immediately** after each prediction with the true value
 ///   (no update latency).
 ///
-/// The protocol is: call [`predict`](Predictor::predict), compare with the
-/// actual outcome, then call [`update`](Predictor::update) with the actual
-/// value. [`step`](Predictor::step) fuses the two;
-/// [`observe`](Predictor::observe) reduces the fused step to a
-/// correct/incorrect bit.
+/// # One keying surface
 ///
-/// `predict` returns `None` when the predictor has no basis for a prediction
-/// (e.g. the first dynamic instance of an instruction). The evaluation
-/// counts `None` as an incorrect prediction, exactly as an implementation
-/// that must always produce *some* value would at best guess.
+/// Every method addresses an instruction by its dense [`PcId`]: the index
+/// a [`PcInterner`](dvp_trace::PcInterner) gave the instruction's PC, `0,
+/// 1, 2, …` in order of first appearance. That id *is* the paper's
+/// per-static-instruction table index, so the unbounded predictors keep
+/// their state in id-indexed slot vectors and reach it with one bounds
+/// check. The PC travels alongside the id for the predictors that model
+/// hardware: the finite, direct-mapped tables hash it (aliasing is the
+/// effect they measure) and ignore the id.
 ///
-/// # The two keying surfaces
+/// The protocol is: call [`predict_id`](Predictor::predict_id), compare
+/// with the actual outcome, then call [`update_id`](Predictor::update_id)
+/// with the actual value. [`step_id`](Predictor::step_id) fuses the two;
+/// [`observe_id`](Predictor::observe_id) reduces the fused step to a
+/// correct/incorrect bit, and [`observe_batch`](Predictor::observe_batch)
+/// replays a run of records.
 ///
-/// Every method exists in two forms:
+/// `predict_id` returns `None` when the predictor has no basis for a
+/// prediction (e.g. the first dynamic instance of an instruction). The
+/// evaluation counts `None` as an incorrect prediction, exactly as an
+/// implementation that must always produce *some* value would at best
+/// guess.
 ///
-/// * **`Pc`-keyed** (`predict`/`update`/`step`/`observe`) — the
-///   compatibility surface. Each call locates the instruction's state by
-///   hashing the PC.
-/// * **`PcId`-keyed** (`predict_id`/`update_id`/`step_id`/`observe_id`) —
-///   the dense path the replay engine drives. The caller supplies the
-///   instruction's dense [`PcId`] (from the trace's
-///   [`PcInterner`](dvp_trace::PcInterner)), and implementations that store
-///   their state in an id-indexed slot vector reach it with one bounds
-///   check instead of one-or-two hash probes. The id-keyed defaults fall
-///   back to the `Pc`-keyed methods, so external implementations only need
-///   the classic five.
-///
-/// The two surfaces address the *same* state: `predict(pc)` after an
-/// id-driven replay sees everything `observe_id` learned. The only caller
-/// obligation on the dense path is id consistency — all ids passed to one
-/// predictor instance must come from a single interner (the engine
-/// guarantees this by building a fresh predictor per replayed trace
-/// shard).
+/// The caller's one obligation is id consistency: all ids passed to one
+/// predictor instance must come from a single interner (the engine builds
+/// a fresh predictor per replayed trace shard; debug builds of the dense
+/// tables assert it). Callers holding bare PCs wrap the predictor in
+/// [`PcKeyed`](crate::PcKeyed), which owns the interner and offers
+/// `predict`/`update`/`step`/`observe` by PC.
 ///
 /// # Examples
 ///
 /// ```
 /// use dvp_core::{LastValuePredictor, Predictor};
-/// use dvp_trace::Pc;
+/// use dvp_trace::{Pc, PcInterner};
 ///
+/// let mut interner = PcInterner::new();
 /// let mut p = LastValuePredictor::new();
 /// let pc = Pc(0x400100);
-/// assert_eq!(p.predict(pc), None); // nothing seen yet
-/// p.update(pc, 7);
-/// assert_eq!(p.predict(pc), Some(7));
+/// let id = interner.intern(pc);
+/// assert_eq!(p.predict_id(id, pc), None); // nothing seen yet
+/// p.update_id(id, pc, 7);
+/// assert_eq!(p.predict_id(id, pc), Some(7));
 /// ```
 ///
 /// Predictors are `Send + Sync` so traces can be processed from worker
 /// threads and results cached in statics; every table type in this crate
 /// (dense slot vectors of plain values) satisfies this automatically.
 pub trait Predictor: Send + Sync {
-    /// Returns the predicted next value for the instruction at `pc`, or
-    /// `None` when no prediction can be made yet.
-    fn predict(&self, pc: Pc) -> Option<Value>;
-
-    /// Informs the predictor of the actual value produced by the instruction
-    /// at `pc`. Tables are updated immediately (the paper's idealization).
-    fn update(&mut self, pc: Pc, actual: Value);
-
     /// A short human-readable name (used in experiment reports),
     /// e.g. `"l"`, `"s2"`, `"fcm3"`. Names are fixed at construction;
     /// calling this allocates nothing.
     fn name(&self) -> &str;
-
-    /// Fused predict-then-update: returns the prediction that was in force
-    /// *before* `actual` was learned.
-    ///
-    /// This is the inner loop of every experiment in the paper. The
-    /// default is the **slow path** — a full `predict` followed by a full
-    /// `update`, walking the table twice; in-crate predictors override it
-    /// (and [`step_id`](Predictor::step_id)) to locate the instruction's
-    /// slot once and do both halves on it.
-    fn step(&mut self, pc: Pc, actual: Value) -> Option<Value> {
-        let prediction = self.predict(pc);
-        self.update(pc, actual);
-        prediction
-    }
-
-    /// Predicts, then updates with `actual`; returns whether the prediction
-    /// was made and correct. Equivalent to
-    /// `self.step(pc, actual) == Some(actual)`.
-    fn observe(&mut self, pc: Pc, actual: Value) -> bool {
-        self.step(pc, actual) == Some(actual)
-    }
 
     /// Number of static instructions (distinct PCs) currently tracked.
     fn static_entries(&self) -> usize;
 
     /// Pre-sizes dense state for `n` interned ids (a no-op for predictors
     /// without dense state). The replay engine calls this with the trace
-    /// interner's length before an id-driven replay.
+    /// interner's length before a replay.
     fn reserve_ids(&mut self, n: usize) {
         let _ = n;
     }
 
-    /// [`predict`](Predictor::predict) on the dense surface: `id` is
-    /// `pc`'s dense id under the caller's interner.
-    fn predict_id(&self, id: PcId, pc: Pc) -> Option<Value> {
-        let _ = id;
-        self.predict(pc)
-    }
+    /// Returns the predicted next value for the instruction `id` (at
+    /// `pc`), or `None` when no prediction can be made yet.
+    fn predict_id(&self, id: PcId, pc: Pc) -> Option<Value>;
 
-    /// [`update`](Predictor::update) on the dense surface.
-    fn update_id(&mut self, id: PcId, pc: Pc, actual: Value) {
-        let _ = id;
-        self.update(pc, actual);
-    }
+    /// Informs the predictor of the actual value produced by the
+    /// instruction `id` (at `pc`). Tables are updated immediately (the
+    /// paper's idealization).
+    fn update_id(&mut self, id: PcId, pc: Pc, actual: Value);
 
-    /// [`step`](Predictor::step) on the dense surface: one slot access per
-    /// record on dense implementations.
+    /// Fused predict-then-update: returns the prediction that was in force
+    /// *before* `actual` was learned.
+    ///
+    /// This is the inner loop of every experiment in the paper. The
+    /// default is the **slow path** — a full `predict_id` followed by a
+    /// full `update_id`, walking the table twice; in-crate predictors
+    /// override it to locate the instruction's slot once and do both
+    /// halves on it.
     fn step_id(&mut self, id: PcId, pc: Pc, actual: Value) -> Option<Value> {
-        let _ = id;
-        self.step(pc, actual)
+        let prediction = self.predict_id(id, pc);
+        self.update_id(id, pc, actual);
+        prediction
     }
 
-    /// [`observe`](Predictor::observe) on the dense surface. Equivalent to
+    /// Predicts, then updates with `actual`; returns whether the prediction
+    /// was made and correct. Equivalent to
     /// `self.step_id(id, pc, actual) == Some(actual)`.
     fn observe_id(&mut self, id: PcId, pc: Pc, actual: Value) -> bool {
         self.step_id(id, pc, actual) == Some(actual)
@@ -164,24 +138,8 @@ pub trait Predictor: Send + Sync {
 }
 
 impl<P: Predictor + ?Sized> Predictor for Box<P> {
-    fn predict(&self, pc: Pc) -> Option<Value> {
-        (**self).predict(pc)
-    }
-
-    fn update(&mut self, pc: Pc, actual: Value) {
-        (**self).update(pc, actual)
-    }
-
     fn name(&self) -> &str {
         (**self).name()
-    }
-
-    fn step(&mut self, pc: Pc, actual: Value) -> Option<Value> {
-        (**self).step(pc, actual)
-    }
-
-    fn observe(&mut self, pc: Pc, actual: Value) -> bool {
-        (**self).observe(pc, actual)
     }
 
     fn static_entries(&self) -> usize {
@@ -221,36 +179,20 @@ mod tests {
     #[test]
     fn observe_is_predict_then_update() {
         let mut p = LastValuePredictor::new();
-        let pc = Pc(8);
-        assert!(!p.observe(pc, 3)); // no prior history: incorrect
-        assert!(p.observe(pc, 3)); // last value repeats: correct
-        assert!(!p.observe(pc, 4)); // changed: incorrect
-        assert!(p.observe(pc, 4));
+        let (id, pc) = (PcId(0), Pc(8));
+        assert!(!p.observe_id(id, pc, 3)); // no prior history: incorrect
+        assert!(p.observe_id(id, pc, 3)); // last value repeats: correct
+        assert!(!p.observe_id(id, pc, 4)); // changed: incorrect
+        assert!(p.observe_id(id, pc, 4));
     }
 
     #[test]
     fn step_returns_the_pre_update_prediction() {
         let mut p = LastValuePredictor::new();
-        let pc = Pc(8);
-        assert_eq!(p.step(pc, 3), None);
-        assert_eq!(p.step(pc, 4), Some(3));
-        assert_eq!(p.step(pc, 5), Some(4));
-    }
-
-    #[test]
-    fn dense_surface_defaults_to_the_pc_surface() {
-        let mut dense = LastValuePredictor::new();
-        let mut compat = LastValuePredictor::new();
-        let pc = Pc(16);
-        for (i, v) in [7u64, 7, 9, 9, 7].into_iter().enumerate() {
-            assert_eq!(
-                dense.observe_id(PcId(0), pc, v),
-                compat.observe(pc, v),
-                "record {i} diverged"
-            );
-        }
-        assert_eq!(dense.predict(pc), compat.predict(pc));
-        assert_eq!(dense.static_entries(), compat.static_entries());
+        let (id, pc) = (PcId(0), Pc(8));
+        assert_eq!(p.step_id(id, pc, 3), None);
+        assert_eq!(p.step_id(id, pc, 4), Some(3));
+        assert_eq!(p.step_id(id, pc, 5), Some(4));
     }
 
     #[test]
@@ -287,7 +229,6 @@ mod tests {
         p.reserve_ids(4);
         p.update_id(PcId(0), pc, 9);
         assert_eq!(p.predict_id(PcId(0), pc), Some(9));
-        assert_eq!(p.predict(pc), Some(9));
         assert_eq!(p.name(), "l");
         assert_eq!(p.static_entries(), 1);
         assert_eq!(p.step_id(PcId(0), pc, 9), Some(9));

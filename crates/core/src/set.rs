@@ -415,7 +415,8 @@ impl SetBatch {
 }
 
 /// Convenience: run a whole trace through a single predictor and return
-/// `(correct, total)`.
+/// `(correct, total)`. PCs are interned in order of first appearance, as
+/// [`PredictorSet::observe`] does.
 ///
 /// # Examples
 ///
@@ -435,10 +436,11 @@ where
     P: Predictor + ?Sized,
     I: IntoIterator<Item = &'a TraceRecord>,
 {
+    let mut interner = PcInterner::new();
     let mut correct = 0u64;
     let mut total = 0u64;
     for rec in records {
-        if predictor.observe(rec.pc, rec.value) {
+        if predictor.observe_id(interner.intern(rec.pc), rec.pc, rec.value) {
             correct += 1;
         }
         total += 1;

@@ -9,7 +9,7 @@
 //! provides that design.
 
 use crate::{FcmPredictor, Predictor, ShiftPredictor, StridePredictor};
-use dvp_trace::{InstrCategory, PcId, TraceRecord, Value};
+use dvp_trace::{InstrCategory, PcId, PcInterner, TraceRecord};
 
 /// A predictor that may use the full trace record (including the
 /// instruction category), not just the PC.
@@ -17,46 +17,16 @@ use dvp_trace::{InstrCategory, PcId, TraceRecord, Value};
 /// Every plain [`Predictor`] is a `RecordPredictor` that ignores the
 /// category, so the two kinds compose freely in experiment harnesses.
 pub trait RecordPredictor {
-    /// Predicts the record's value before it is revealed.
-    fn predict_record(&self, rec: &TraceRecord) -> Option<Value>;
-
-    /// Updates tables with the record's actual value.
-    fn update_record(&mut self, rec: &TraceRecord);
-
-    /// Predict-then-update; returns whether the prediction was correct.
-    ///
-    /// The default is the slow path (a full predict and a full update);
-    /// implementations route it through their fused step.
-    fn observe_record(&mut self, rec: &TraceRecord) -> bool {
-        let correct = self.predict_record(rec) == Some(rec.value);
-        self.update_record(rec);
-        correct
-    }
-
-    /// [`observe_record`](RecordPredictor::observe_record) on the dense
-    /// surface: `id` is `rec.pc`'s dense id under the caller's interner.
-    fn observe_record_id(&mut self, id: PcId, rec: &TraceRecord) -> bool {
-        let _ = id;
-        self.observe_record(rec)
-    }
+    /// Predicts the record's value, then updates tables with it; returns
+    /// whether the prediction was correct. `id` is `rec.pc`'s dense id
+    /// under the caller's interner.
+    fn observe_record_id(&mut self, id: PcId, rec: &TraceRecord) -> bool;
 
     /// Short display name.
     fn record_name(&self) -> String;
 }
 
 impl<P: Predictor> RecordPredictor for P {
-    fn predict_record(&self, rec: &TraceRecord) -> Option<Value> {
-        self.predict(rec.pc)
-    }
-
-    fn update_record(&mut self, rec: &TraceRecord) {
-        self.update(rec.pc, rec.value);
-    }
-
-    fn observe_record(&mut self, rec: &TraceRecord) -> bool {
-        self.observe(rec.pc, rec.value)
-    }
-
     fn observe_record_id(&mut self, id: PcId, rec: &TraceRecord) -> bool {
         self.observe_id(id, rec.pc, rec.value)
     }
@@ -79,14 +49,15 @@ impl<P: Predictor> RecordPredictor for P {
 ///
 /// ```
 /// use dvp_core::{RecordPredictor, TypedHybridPredictor};
-/// use dvp_trace::{InstrCategory, Pc, TraceRecord};
+/// use dvp_trace::{InstrCategory, Pc, PcId, TraceRecord};
 ///
 /// let mut hybrid = TypedHybridPredictor::paper_suggestion(2);
 /// let mut correct = 0;
 /// for i in 0..50u64 {
-///     // An induction variable: routed to the stride component.
+///     // An induction variable (the only instruction, dense id 0): routed
+///     // to the stride component.
 ///     let rec = TraceRecord::new(Pc(0x10), InstrCategory::AddSub, 4 * i);
-///     correct += u32::from(hybrid.observe_record(&rec));
+///     correct += u32::from(hybrid.observe_record_id(PcId(0), &rec));
 /// }
 /// assert!(correct >= 45);
 /// ```
@@ -136,18 +107,6 @@ impl TypedHybridPredictor {
 }
 
 impl RecordPredictor for TypedHybridPredictor {
-    fn predict_record(&self, rec: &TraceRecord) -> Option<Value> {
-        self.components[rec.category.index()].predict(rec.pc)
-    }
-
-    fn update_record(&mut self, rec: &TraceRecord) {
-        self.components[rec.category.index()].update(rec.pc, rec.value);
-    }
-
-    fn observe_record(&mut self, rec: &TraceRecord) -> bool {
-        self.components[rec.category.index()].observe(rec.pc, rec.value)
-    }
-
     fn observe_record_id(&mut self, id: PcId, rec: &TraceRecord) -> bool {
         // Components never share a PC across categories (a static
         // instruction has one category), so trace-wide dense ids are
@@ -161,16 +120,17 @@ impl RecordPredictor for TypedHybridPredictor {
 }
 
 /// Runs a whole trace through a [`RecordPredictor`]; returns
-/// `(correct, total)`.
+/// `(correct, total)`. PCs are interned in order of first appearance.
 pub fn run_trace_records<'a, P, I>(predictor: &mut P, records: I) -> (u64, u64)
 where
     P: RecordPredictor + ?Sized,
     I: IntoIterator<Item = &'a TraceRecord>,
 {
+    let mut interner = PcInterner::new();
     let mut correct = 0u64;
     let mut total = 0u64;
     for rec in records {
-        if predictor.observe_record(rec) {
+        if predictor.observe_record_id(interner.intern(rec.pc), rec) {
             correct += 1;
         }
         total += 1;
@@ -182,7 +142,7 @@ where
 mod tests {
     use super::*;
     use crate::LastValuePredictor;
-    use dvp_trace::Pc;
+    use dvp_trace::{Pc, Value};
 
     fn rec(pc: u64, cat: InstrCategory, value: Value) -> TraceRecord {
         TraceRecord::new(Pc(pc), cat, value)
@@ -192,8 +152,8 @@ mod tests {
     fn plain_predictors_are_record_predictors() {
         let mut p = LastValuePredictor::new();
         let r = rec(4, InstrCategory::Loads, 9);
-        assert!(!p.observe_record(&r));
-        assert!(p.observe_record(&r));
+        assert!(!p.observe_record_id(PcId(0), &r));
+        assert!(p.observe_record_id(PcId(0), &r));
         assert_eq!(p.record_name(), "l");
     }
 
@@ -203,12 +163,13 @@ mod tests {
         // Same PC appears under two categories (cannot happen in a real
         // trace, but isolates the routing): each component sees only its
         // own stream.
+        let id = PcId(0);
         for i in 0..10u64 {
-            hybrid.update_record(&rec(4, InstrCategory::AddSub, i));
-            hybrid.update_record(&rec(4, InstrCategory::Logic, 77));
+            hybrid.observe_record_id(id, &rec(4, InstrCategory::AddSub, i));
+            hybrid.observe_record_id(id, &rec(4, InstrCategory::Logic, 77));
         }
-        assert_eq!(hybrid.predict_record(&rec(4, InstrCategory::AddSub, 0)), Some(10));
-        assert_eq!(hybrid.predict_record(&rec(4, InstrCategory::Logic, 0)), Some(77));
+        assert!(hybrid.observe_record_id(id, &rec(4, InstrCategory::AddSub, 10)));
+        assert!(hybrid.observe_record_id(id, &rec(4, InstrCategory::Logic, 77)));
     }
 
     #[test]
@@ -217,7 +178,7 @@ mod tests {
         let mut correct = 0;
         for i in 0..20u64 {
             let r = rec(8, InstrCategory::Shift, 1u64 << (i % 16));
-            correct += u64::from(hybrid.observe_record(&r));
+            correct += u64::from(hybrid.observe_record_id(PcId(0), &r));
         }
         // The shift component learns doubling quickly; the wrap back to 1
         // after 1<<15 costs at most a couple of misses.

@@ -1,20 +1,20 @@
 //! Property suite pinning the dense-slot replay path to the legacy
 //! per-record-hash semantics, per predictor family.
 //!
-//! Every predictor exposes two keying surfaces over the same state: the
-//! `Pc`-keyed compatibility surface (`observe`, one hash probe per record —
-//! behaviourally identical to the old `HashMap<Pc, _>` tables) and the
-//! dense `PcId`-keyed surface the replay engine drives (`observe_id`, one
-//! slot index per record). These properties feed identical random streams
-//! through both surfaces on independent instances and require identical
-//! outcome sequences, final predictions, and static-entry counts — and,
-//! for the last-value and stride families, additionally check both against
-//! hand-rolled `HashMap` oracles reimplementing the paper's definitions.
+//! Every predictor is driven by dense `PcId`s (`observe_id`, one slot
+//! index per record — the surface the replay engine uses); `Pc`-keyed
+//! callers go through the `PcKeyed` adapter, which interns each PC itself
+//! (behaviourally identical to the old `HashMap<Pc, _>` tables). These
+//! properties feed identical random streams through both paths on
+//! independent instances and require identical outcome sequences, final
+//! predictions, and static-entry counts — and, for the last-value and
+//! stride families, additionally check both against hand-rolled `HashMap`
+//! oracles reimplementing the paper's definitions.
 
 use dvp_core::{
     Blending, CounterMode, DelayedPredictor, FcmPredictor, FiniteFcmPredictor,
     FiniteHybridPredictor, FiniteLastValuePredictor, FiniteStridePredictor, HybridPredictor,
-    LastValuePredictor, Predictor, ShiftPredictor, StridePredictor, TableSpec,
+    LastValuePredictor, PcKeyed, Predictor, ShiftPredictor, StridePredictor, TableSpec,
     TwoLevelStridePredictor,
 };
 use dvp_trace::{Pc, PcId, PcInterner, Value};
@@ -31,9 +31,10 @@ fn arb_stream(max_len: usize) -> impl Strategy<Value = Vec<(Pc, Value)>> {
 }
 
 /// Drives `dense` through `observe_id` (interning like a trace would) and
-/// `compat` through `observe`; asserts identical outcome sequences and
-/// consistent end states.
-fn assert_surfaces_agree<P: Predictor>(mut dense: P, mut compat: P, stream: &[(Pc, Value)]) {
+/// `compat` through `PcKeyed::observe`; asserts identical outcome
+/// sequences and consistent end states.
+fn assert_surfaces_agree<P: Predictor>(mut dense: P, compat: P, stream: &[(Pc, Value)]) {
+    let mut compat = PcKeyed::new(compat);
     let mut interner = PcInterner::new();
     for (step, &(pc, value)) in stream.iter().enumerate() {
         let id = interner.intern(pc);
@@ -43,7 +44,6 @@ fn assert_surfaces_agree<P: Predictor>(mut dense: P, mut compat: P, stream: &[(P
     }
     assert_eq!(dense.static_entries(), compat.static_entries());
     for (id, pc) in interner.iter() {
-        assert_eq!(dense.predict(pc), compat.predict(pc), "final prediction at {pc}");
         assert_eq!(dense.predict_id(id, pc), compat.predict(pc), "dense read at {pc}");
     }
 }
@@ -171,8 +171,8 @@ proptest! {
     #[test]
     fn step_equals_predict_then_update(stream in arb_stream(200)) {
         // The fused step must equal the two-call protocol on every family.
-        let mut fused = FcmPredictor::new(2);
-        let mut split = FcmPredictor::new(2);
+        let mut fused = PcKeyed::new(FcmPredictor::new(2));
+        let mut split = PcKeyed::new(FcmPredictor::new(2));
         for &(pc, value) in &stream {
             let expected = split.predict(pc);
             split.update(pc, value);

@@ -12,7 +12,7 @@
 
 use std::collections::HashMap;
 
-use dvp_core::{Blending, CounterMode, FcmPredictor, Predictor, PredictorConfig};
+use dvp_core::{Blending, CounterMode, FcmPredictor, PcKeyed, Predictor, PredictorConfig};
 use dvp_trace::{Pc, PcId, PcInterner, Value};
 use proptest::prelude::*;
 
@@ -190,7 +190,7 @@ proptest! {
         stream in arb_stream(300),
     ) {
         let (order, blending, counter_mode) = config;
-        let mut flat = FcmPredictor::with_config(order, blending, counter_mode);
+        let mut flat = PcKeyed::new(FcmPredictor::with_config(order, blending, counter_mode));
         let mut oracle = OracleFcm::new(order, blending, counter_mode);
         for (i, &(pc, value)) in stream.iter().enumerate() {
             prop_assert_eq!(
@@ -201,7 +201,7 @@ proptest! {
                 &stream
             );
         }
-        prop_assert_eq!(flat.context_entries(), oracle.context_entries());
+        prop_assert_eq!(flat.inner().context_entries(), oracle.context_entries());
         for &(pc, _) in &stream {
             prop_assert_eq!(flat.predict(pc), oracle.predict(pc));
         }
@@ -264,8 +264,8 @@ proptest! {
                 at = hi;
             }
             prop_assert_eq!(&got, &want, "{} diverged at chunk {}", config.name(), chunk);
-            for &pc in &pcs {
-                prop_assert_eq!(batched.predict(pc), reference.predict(pc));
+            for (&pc, &id) in pcs.iter().zip(&ids) {
+                prop_assert_eq!(batched.predict_id(id, pc), reference.predict_id(id, pc));
             }
         }
     }
@@ -332,7 +332,7 @@ proptest! {
         stream in arb_high_fanout_stream(),
     ) {
         let (order, blending, counter_mode) = config;
-        let mut flat = FcmPredictor::with_config(order, blending, counter_mode);
+        let mut flat = PcKeyed::new(FcmPredictor::with_config(order, blending, counter_mode));
         let mut oracle = OracleFcm::new(order, blending, counter_mode);
         for (i, &(pc, value)) in stream.iter().enumerate() {
             prop_assert_eq!(
@@ -344,7 +344,7 @@ proptest! {
                 config
             );
         }
-        prop_assert_eq!(flat.context_entries(), oracle.context_entries());
+        prop_assert_eq!(flat.inner().context_entries(), oracle.context_entries());
         for &(pc, _) in &stream {
             prop_assert_eq!(flat.predict(pc), oracle.predict(pc));
         }
@@ -376,8 +376,8 @@ proptest! {
             batched.observe_batch(&ids[at..hi], &pcs[at..hi], &values[at..hi], &mut got[at..hi]);
         }
         prop_assert_eq!(&got, &want, "{:?} diverged at chunk {}", config, chunk);
-        for &pc in &pcs {
-            prop_assert_eq!(batched.predict(pc), reference.predict(pc));
+        for (&pc, &id) in pcs.iter().zip(&ids) {
+            prop_assert_eq!(batched.predict_id(id, pc), reference.predict_id(id, pc));
         }
     }
 }
@@ -398,7 +398,7 @@ fn lazy_exclusion_divergence_is_reproduced_exactly() {
     let pc = Pc(0x400);
     let mut outcomes = Vec::new();
     for blending in [Blending::LazyExclusion, Blending::Full] {
-        let mut flat = FcmPredictor::with_config(1, blending, CounterMode::Exact);
+        let mut flat = PcKeyed::new(FcmPredictor::with_config(1, blending, CounterMode::Exact));
         let mut oracle = OracleFcm::new(1, blending, CounterMode::Exact);
         for &v in &stream {
             assert_eq!(flat.step(pc, v), oracle.step(pc, v), "{blending:?}");
@@ -416,11 +416,11 @@ fn lazy_exclusion_divergence_is_reproduced_exactly() {
 fn saturating_emptied_contexts_agree_with_the_oracle() {
     let pc = Pc(0x400);
     let mode = CounterMode::Saturating { max: 1 };
-    let mut flat = FcmPredictor::with_config(2, Blending::LazyExclusion, mode);
+    let mut flat = PcKeyed::new(FcmPredictor::with_config(2, Blending::LazyExclusion, mode));
     let mut oracle = OracleFcm::new(2, Blending::LazyExclusion, mode);
     for &v in &[5u64, 5, 3, 5, 3, 3, 5] {
         assert_eq!(flat.step(pc, v), oracle.step(pc, v));
     }
     assert_eq!(flat.predict(pc), oracle.predict(pc));
-    assert_eq!(flat.context_entries(), oracle.context_entries());
+    assert_eq!(flat.inner().context_entries(), oracle.context_entries());
 }

@@ -3,8 +3,8 @@
 use dvp_core::{
     hash_history, Blending, CounterMode, DelayedPredictor, EntropyProfile, FcmPredictor,
     FiniteFcmPredictor, FiniteHybridPredictor, FiniteLastValuePredictor, FiniteStridePredictor,
-    LastValuePredictor, LocalityProfile, Predictor, PredictorSet, StridePredictor, TableSpec,
-    TwoLevelStridePredictor,
+    LastValuePredictor, LocalityProfile, PcKeyed, Predictor, PredictorSet, StridePredictor,
+    TableSpec, TwoLevelStridePredictor,
 };
 use dvp_trace::{InstrCategory, Pc, TraceRecord, Value};
 use proptest::prelude::*;
@@ -34,7 +34,7 @@ proptest! {
         delta in any::<u64>(),
         len in 4usize..200,
     ) {
-        let mut p = StridePredictor::two_delta();
+        let mut p = PcKeyed::new(StridePredictor::two_delta());
         let pc = Pc(0);
         let mut misses_after_warmup = 0;
         for i in 0..len {
@@ -49,7 +49,7 @@ proptest! {
 
     #[test]
     fn last_value_accuracy_equals_adjacent_repeat_fraction(values in arb_values(200)) {
-        let mut p = LastValuePredictor::new();
+        let mut p = PcKeyed::new(LastValuePredictor::new());
         let pc = Pc(0);
         let correct = values.iter().filter(|&&v| p.observe(pc, v)).count();
         let repeats = values.windows(2).filter(|w| w[0] == w[1]).count();
@@ -60,7 +60,7 @@ proptest! {
 
     #[test]
     fn fcm_never_predicts_unseen_values(values in arb_values(150), order in 0usize..4) {
-        let mut p = FcmPredictor::new(order);
+        let mut p = PcKeyed::new(FcmPredictor::new(order));
         let pc = Pc(0);
         let mut seen: HashSet<Value> = HashSet::new();
         for &v in &values {
@@ -81,7 +81,7 @@ proptest! {
         let period: Vec<Value> = period_vals.into_iter().collect();
         let seq: Vec<Value> =
             period.iter().copied().cycle().take(period.len() * reps).collect();
-        let mut p = FcmPredictor::new(order);
+        let mut p = PcKeyed::new(FcmPredictor::new(order));
         let pc = Pc(0);
         let warmup = period.len() + order + 1;
         let mut misses_after_warmup = 0;
@@ -98,8 +98,8 @@ proptest! {
     fn fcm_blending_modes_agree_on_prediction_domain(values in arb_small_values(100)) {
         // Single-order predicts a subset of the time lazy-exclusion does
         // (blending only *adds* fallback predictions).
-        let mut lazy = FcmPredictor::with_config(2, Blending::LazyExclusion, CounterMode::Exact);
-        let mut single = FcmPredictor::with_config(2, Blending::SingleOrder, CounterMode::Exact);
+        let mut lazy = PcKeyed::new(FcmPredictor::with_config(2, Blending::LazyExclusion, CounterMode::Exact));
+        let mut single = PcKeyed::new(FcmPredictor::with_config(2, Blending::SingleOrder, CounterMode::Exact));
         let pc = Pc(0);
         for &v in &values {
             let lazy_pred = lazy.predict(pc);
@@ -117,11 +117,11 @@ proptest! {
         values in arb_small_values(300),
         max in 2u32..8,
     ) {
-        let mut p = FcmPredictor::with_config(
+        let mut p = PcKeyed::new(FcmPredictor::with_config(
             1,
             Blending::LazyExclusion,
             CounterMode::Saturating { max },
-        );
+        ));
         let pc = Pc(0);
         let mut seen = HashSet::new();
         for &v in &values {
@@ -142,7 +142,8 @@ proptest! {
     ) {
         // Interleaving two PCs' streams must give exactly the same
         // predictions as running each stream alone (no aliasing).
-        fn run_alone<P: Predictor>(mut p: P, pc: Pc, values: &[Value]) -> Vec<Option<Value>> {
+        fn run_alone<P: Predictor>(p: P, pc: Pc, values: &[Value]) -> Vec<Option<Value>> {
+            let mut p = PcKeyed::new(p);
             values
                 .iter()
                 .map(|&v| {
@@ -153,10 +154,11 @@ proptest! {
                 .collect()
         }
         fn run_interleaved<P: Predictor>(
-            mut p: P,
+            p: P,
             a: &[Value],
             b: &[Value],
         ) -> (Vec<Option<Value>>, Vec<Option<Value>>) {
+            let mut p = PcKeyed::new(p);
             let (mut ia, mut ib) = (0, 0);
             let (mut ra, mut rb) = (Vec::new(), Vec::new());
             while ia < a.len() || ib < b.len() {
@@ -225,10 +227,10 @@ proptest! {
         // 2^12-slot tagged table is collision-free for <16 PCs: the finite
         // predictors must be bit-identical to the unbounded ones.
         let spec = TableSpec::new(12).with_tag_bits(8);
-        let mut fin_l = FiniteLastValuePredictor::new(spec);
-        let mut fin_s = FiniteStridePredictor::new(spec);
-        let mut ub_l = LastValuePredictor::new();
-        let mut ub_s = StridePredictor::two_delta();
+        let mut fin_l = PcKeyed::new(FiniteLastValuePredictor::new(spec));
+        let mut fin_s = PcKeyed::new(FiniteStridePredictor::new(spec));
+        let mut ub_l = PcKeyed::new(LastValuePredictor::new());
+        let mut ub_s = PcKeyed::new(StridePredictor::two_delta());
         for (i, &v) in values.iter().enumerate() {
             let pc = Pc(0x1000 + (i as u64 % npcs) * 4);
             prop_assert_eq!(fin_l.predict(pc), ub_l.predict(pc));
@@ -253,7 +255,7 @@ proptest! {
         values in arb_small_values(200),
         order in 1usize..5,
     ) {
-        let mut p = FiniteFcmPredictor::new(order, TableSpec::new(6), TableSpec::new(8));
+        let mut p = PcKeyed::new(FiniteFcmPredictor::new(order, TableSpec::new(6), TableSpec::new(8)));
         let pc = Pc(0x100);
         for (i, &v) in values.iter().enumerate() {
             let pred = p.predict(pc);
@@ -271,9 +273,9 @@ proptest! {
     ) {
         // The hybrid never invents values: every prediction equals what one
         // of its components would predict from the identical update stream.
-        let mut hybrid = FiniteHybridPredictor::paper_geometry(8);
-        let mut stride = FiniteStridePredictor::new(TableSpec::new(8));
-        let mut fcm = FiniteFcmPredictor::new(2, TableSpec::new(8), TableSpec::new(12));
+        let mut hybrid = PcKeyed::new(FiniteHybridPredictor::paper_geometry(8));
+        let mut stride = PcKeyed::new(FiniteStridePredictor::new(TableSpec::new(8)));
+        let mut fcm = PcKeyed::new(FiniteFcmPredictor::new(2, TableSpec::new(8), TableSpec::new(12)));
         for (i, &v) in values.iter().enumerate() {
             let pc = Pc(0x400 + (i as u64 % npcs) * 4);
             let h = hybrid.predict(pc);
@@ -295,8 +297,8 @@ proptest! {
 
     #[test]
     fn delay_zero_is_bit_identical_to_immediate(values in arb_small_values(200)) {
-        let mut delayed = DelayedPredictor::new(FcmPredictor::new(2), 0);
-        let mut direct = FcmPredictor::new(2);
+        let mut delayed = PcKeyed::new(DelayedPredictor::new(FcmPredictor::new(2), 0));
+        let mut direct = PcKeyed::new(FcmPredictor::new(2));
         for (i, &v) in values.iter().enumerate() {
             let pc = Pc((i as u64 % 5) * 4);
             prop_assert_eq!(delayed.predict(pc), direct.predict(pc));
@@ -312,16 +314,16 @@ proptest! {
     ) {
         // After draining, the inner predictor has seen exactly the same
         // update sequence as an immediate-update run.
-        let mut delayed = DelayedPredictor::new(StridePredictor::two_delta(), delay);
-        let mut direct = StridePredictor::two_delta();
+        let mut delayed = PcKeyed::new(DelayedPredictor::new(StridePredictor::two_delta(), delay));
+        let mut direct = PcKeyed::new(StridePredictor::two_delta());
         for (i, &v) in values.iter().enumerate() {
             let pc = Pc((i as u64 % 3) * 4);
             delayed.update(pc, v);
             direct.update(pc, v);
         }
-        let inner = delayed.into_inner();
+        delayed.inner_mut().drain();
         for pc in (0..3u64).map(|i| Pc(i * 4)) {
-            prop_assert_eq!(inner.predict(pc), direct.predict(pc));
+            prop_assert_eq!(delayed.predict(pc), direct.predict(pc));
         }
     }
 
@@ -330,10 +332,10 @@ proptest! {
         values in arb_small_values(100),
         delay in 0usize..16,
     ) {
-        let mut p = DelayedPredictor::new(LastValuePredictor::new(), delay);
+        let mut p = PcKeyed::new(DelayedPredictor::new(LastValuePredictor::new(), delay));
         for &v in &values {
             p.update(Pc(0), v);
-            prop_assert!(p.in_flight() <= delay);
+            prop_assert!(p.inner().in_flight() <= delay);
         }
     }
 
@@ -342,7 +344,7 @@ proptest! {
     #[test]
     fn locality_is_monotone_and_depth1_equals_last_value(values in arb_small_values(300)) {
         let mut profile = LocalityProfile::new(8);
-        let mut lvp = LastValuePredictor::new();
+        let mut lvp = PcKeyed::new(LastValuePredictor::new());
         let mut lvp_correct = 0u64;
         for &v in &values {
             let rec = TraceRecord::new(Pc(0), InstrCategory::AddSub, v);

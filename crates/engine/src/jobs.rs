@@ -40,6 +40,7 @@
 //! ```
 
 use crate::ReplayEngine;
+use dvp_trace::Fnv1a64;
 use std::collections::VecDeque;
 use std::fmt;
 use std::sync::mpsc;
@@ -65,29 +66,20 @@ pub const SEMANTICS_REVISION: u64 = 1;
 /// production deployments should leave it unset.
 pub const ENGINE_EPOCH_ENV: &str = "DVP_ENGINE_EPOCH";
 
-/// FNV-1a 64 over `bytes`, continuing from `hash` (seed
-/// `0xcbf2_9ce4_8422_2325` for a fresh hash).
-fn fnv1a64_fold(mut hash: u64, bytes: &[u8]) -> u64 {
-    for &b in bytes {
-        hash ^= u64::from(b);
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    hash
-}
-
 /// The epoch baked into this binary: an FNV-1a 64 fingerprint of the
 /// predictor-semantics surface — the `dvp-core` and `dvp-engine` crate
 /// versions plus [`SEMANTICS_REVISION`]. Two binaries share a compiled
 /// epoch exactly when their predictor semantics are interchangeable.
 #[must_use]
 pub fn compiled_epoch() -> u64 {
-    let mut hash = 0xcbf2_9ce4_8422_2325u64;
-    hash = fnv1a64_fold(hash, b"dvp-core ");
-    hash = fnv1a64_fold(hash, dvp_core::VERSION.as_bytes());
-    hash = fnv1a64_fold(hash, b"\ndvp-engine ");
-    hash = fnv1a64_fold(hash, env!("CARGO_PKG_VERSION").as_bytes());
-    hash = fnv1a64_fold(hash, b"\nsemantics-revision ");
-    fnv1a64_fold(hash, &SEMANTICS_REVISION.to_le_bytes())
+    let mut fnv = Fnv1a64::new();
+    fnv.update(b"dvp-core ")
+        .update(dvp_core::VERSION.as_bytes())
+        .update(b"\ndvp-engine ")
+        .update(env!("CARGO_PKG_VERSION").as_bytes())
+        .update(b"\nsemantics-revision ")
+        .update(&SEMANTICS_REVISION.to_le_bytes());
+    fnv.finish()
 }
 
 /// The effective engine epoch: [`compiled_epoch`] unless
@@ -112,7 +104,7 @@ fn parse_epoch_override(text: &str) -> u64 {
             return n;
         }
     }
-    fnv1a64_fold(0xcbf2_9ce4_8422_2325, trimmed.as_bytes())
+    Fnv1a64::hash(trimmed.as_bytes())
 }
 
 /// A queued unit of work (the result channel is captured inside).

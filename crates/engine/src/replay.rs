@@ -238,7 +238,7 @@ pub(crate) fn config_replays(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dvp_core::Predictor;
+    use dvp_core::PcKeyed;
     use dvp_trace::{InstrCategory, Pc, TraceRecord};
 
     fn mixed_trace(n: u64) -> SharedTrace {
@@ -265,7 +265,7 @@ mod tests {
         let replays = ReplayEngine::new().with_workers(4).with_shards(5).replay(&trace, &bank);
         assert_eq!(replays.len(), bank.len());
         for (config, replay) in bank.iter().zip(&replays) {
-            let mut predictor = config.build();
+            let mut predictor = PcKeyed::new(config.build());
             let mut tracker = AccuracyTracker::new();
             for rec in trace.iter() {
                 tracker.record(rec.category, predictor.observe(rec.pc, rec.value));

@@ -134,7 +134,7 @@ impl AccuracyResults {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dvp_core::{FcmPredictor, Predictor, StridePredictor};
+    use dvp_core::{FcmPredictor, PcKeyed, StridePredictor};
 
     #[test]
     fn ordering_matches_paper_on_small_traces() {
@@ -165,8 +165,8 @@ mod tests {
         for benchmark in Benchmark::ALL {
             let trace = store.trace(benchmark).unwrap();
             let half = trace.len() / 2;
-            let mut stride = StridePredictor::two_delta();
-            let mut fcm = FcmPredictor::new(3);
+            let mut stride = PcKeyed::new(StridePredictor::two_delta());
+            let mut fcm = PcKeyed::new(FcmPredictor::new(3));
             for (i, rec) in trace.iter().enumerate() {
                 let sc = stride.observe(rec.pc, rec.value);
                 let fc = fcm.observe(rec.pc, rec.value);

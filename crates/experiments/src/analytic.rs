@@ -7,7 +7,9 @@ use dvp_core::sequences::{
     self, constant, non_stride, repeated_non_stride, repeated_stride, stride, Learning,
     SequenceClass,
 };
-use dvp_core::{FcmPredictor, LastValuePredictor, Predictor, StridePolicy, StridePredictor};
+use dvp_core::{
+    FcmPredictor, LastValuePredictor, PcKeyed, Predictor, StridePolicy, StridePredictor,
+};
 use dvp_trace::Pc;
 
 /// Sequence length used for the measurements.
@@ -151,11 +153,11 @@ pub fn figure1() -> Figure1 {
         .collect();
     let predictions = (0..=3)
         .map(|order| {
-            let mut p = FcmPredictor::with_config(
+            let mut p = PcKeyed::new(FcmPredictor::with_config(
                 order,
                 dvp_core::Blending::SingleOrder,
                 dvp_core::CounterMode::Exact,
-            );
+            ));
             for &v in &seq {
                 p.update(Pc(0), v);
             }
@@ -203,9 +205,11 @@ pub struct Figure2 {
 #[must_use]
 pub fn figure2() -> Figure2 {
     let values = repeated_stride(1, 1, 4, 12);
-    let mut stride =
-        StridePredictor::with_policy(StridePolicy::Hysteresis { max: 3, threshold: 1 });
-    let mut fcm = FcmPredictor::new(2);
+    let mut stride = PcKeyed::new(StridePredictor::with_policy(StridePolicy::Hysteresis {
+        max: 3,
+        threshold: 1,
+    }));
+    let mut fcm = PcKeyed::new(FcmPredictor::new(2));
     let pc = Pc(0);
     let mut stride_predictions = Vec::new();
     let mut fcm_predictions = Vec::new();

@@ -28,6 +28,7 @@
 //!   run — they fall back to simulation and are counted in
 //!   [`CacheStats`].
 
+use crate::durable::{self, OrphanSweep};
 use dvp_engine::{ReplayEngine, SharedTrace};
 use dvp_lang::OptLevel;
 use dvp_trace::io::v2::{self, Fingerprint, Header, TraceMeta};
@@ -118,10 +119,8 @@ pub struct TraceCache {
     /// Write new containers compressed ([`v2::write_compressed`], the
     /// version-4 format). Old v2/v3 files load either way.
     compress: bool,
-    /// Minimum age before an orphaned `.tmp-*` file may be swept.
-    sweep_min_age: std::time::Duration,
-    /// Guards the one-time orphaned-`.tmp-*` sweep of the directory.
-    swept: std::sync::Once,
+    /// The one-time orphaned-`.tmp-*` sweep of the directory.
+    sweep: OrphanSweep,
 }
 
 impl TraceCache {
@@ -133,8 +132,7 @@ impl TraceCache {
         TraceCache {
             dir: dir.into(),
             compress: true,
-            sweep_min_age: crate::result_cache::SWEEP_MIN_AGE,
-            swept: std::sync::Once::new(),
+            sweep: OrphanSweep::new(crate::result_cache::SWEEP_MIN_AGE),
         }
     }
 
@@ -143,7 +141,7 @@ impl TraceCache {
     /// default). `Duration::ZERO` restores pid-liveness-only sweeping.
     #[must_use]
     pub fn with_sweep_min_age(mut self, min_age: std::time::Duration) -> TraceCache {
-        self.sweep_min_age = min_age;
+        self.sweep = OrphanSweep::new(min_age);
         self
     }
 
@@ -200,7 +198,7 @@ impl TraceCache {
     /// fingerprint.
     #[must_use]
     pub fn lookup(&self, engine: &ReplayEngine, fingerprint: &Fingerprint) -> CacheLookup {
-        self.sweep_orphans();
+        self.sweep.run(&self.dir);
         let path = self.path_for(fingerprint);
         let bytes = match fs::read(&path) {
             Ok(bytes) => bytes,
@@ -244,12 +242,9 @@ impl TraceCache {
         trace: &SharedTrace,
     ) -> Result<PathBuf, TraceIoError> {
         fs::create_dir_all(&self.dir)?;
-        self.sweep_orphans();
+        self.sweep.run(&self.dir);
         let path = self.path_for(&meta.fingerprint);
-        let tmp = path.with_extension(format!("{TRACE_EXTENSION}.tmp-{}", std::process::id()));
-        let result = (|| {
-            let file = fs::File::create(&tmp)?;
-            let mut writer = io::BufWriter::new(file);
+        durable::write_durably(&path, |writer| {
             let plan = dvp_engine::phase_plan(trace, &dvp_engine::PhaseOptions::default());
             let sections = [
                 (v2::SECTION_INTERNER, v2::encode_interner(trace.interner())),
@@ -257,77 +252,12 @@ impl TraceCache {
             ];
             let chunks = trace.chunks().iter().map(Vec::as_slice);
             if self.compress {
-                v2::write_compressed(&mut writer, meta, chunks, &sections)?;
+                v2::write_compressed(writer, meta, chunks, &sections)
             } else {
-                v2::write_with_sections(&mut writer, meta, chunks, &sections)?;
+                v2::write_with_sections(writer, meta, chunks, &sections)
             }
-            io::Write::flush(&mut writer)?;
-            // Durability, not just atomicity: rename orders the directory
-            // entry, but only an fsync orders the *data* against a crash —
-            // without it a power cut can leave the final name pointing at
-            // a zero-length or partial file.
-            writer.get_ref().sync_all()?;
-            fs::rename(&tmp, &path)?;
-            // Best-effort: persist the rename itself. Filesystems without
-            // directory fsync (or sandboxed runs) still get atomicity.
-            if let Ok(dir) = fs::File::open(&self.dir) {
-                let _ = dir.sync_all();
-            }
-            Ok(path.clone())
-        })();
-        if result.is_err() {
-            let _ = fs::remove_file(&tmp);
-        }
-        result
-    }
-
-    /// Removes `*.tmp-<pid>` leftovers of dead processes, once per cache
-    /// instance. A crashed writer (power cut, kill -9) strands its
-    /// temporary file forever — the rename that would have consumed it
-    /// never ran — so the next cache user sweeps siblings. A file is
-    /// swept only when its recorded pid is not this process, does not
-    /// exist in the local `/proc` (when present), *and* the file is
-    /// older than the age gate: a pid absent locally may be a live
-    /// writer on another machine sharing the directory over a network
-    /// filesystem, so neither signal alone is trusted.
-    fn sweep_orphans(&self) {
-        self.swept.call_once(|| {
-            let Ok(entries) = fs::read_dir(&self.dir) else { return };
-            for entry in entries.flatten() {
-                let path = entry.path();
-                let Some(name) = path.file_name().and_then(|n| n.to_str()) else { continue };
-                let Some((_, pid)) = name.rsplit_once(".tmp-") else { continue };
-                let Ok(pid) = pid.parse::<u32>() else { continue };
-                if pid == std::process::id()
-                    || Self::writer_may_be_alive(pid)
-                    || Self::younger_than(&entry, self.sweep_min_age)
-                {
-                    continue;
-                }
-                let _ = fs::remove_file(&path);
-            }
-        });
-    }
-
-    /// Whether the process that owns a temporary file could still be
-    /// running *on this machine*: its pid exists under `/proc`. Without
-    /// `/proc` the answer is unknowable and `false` is returned — the
-    /// age gate is then the only protection.
-    fn writer_may_be_alive(pid: u32) -> bool {
-        let proc_root = Path::new("/proc");
-        proc_root.is_dir() && proc_root.join(pid.to_string()).exists()
-    }
-
-    /// Whether the file was modified less than `min_age` ago. Unreadable
-    /// metadata or a future mtime (clock skew) count as young — when in
-    /// doubt, keep the file.
-    fn younger_than(entry: &fs::DirEntry, min_age: std::time::Duration) -> bool {
-        entry
-            .metadata()
-            .and_then(|m| m.modified())
-            .ok()
-            .and_then(|t| t.elapsed().ok())
-            .is_none_or(|age| age < min_age)
+        })?;
+        Ok(path)
     }
 
     /// All `*.dvpt` containers in the cache directory, sorted by file

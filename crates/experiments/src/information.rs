@@ -13,7 +13,7 @@
 
 use crate::context::TraceStore;
 use crate::table_fmt::{pct, TextTable};
-use dvp_core::{EntropyProfile, FcmPredictor, LocalityProfile, Predictor};
+use dvp_core::{EntropyProfile, FcmPredictor, LocalityProfile, PcKeyed};
 use dvp_trace::Pc;
 use dvp_workloads::{Benchmark, BuildError};
 use std::collections::HashMap;
@@ -119,7 +119,7 @@ pub fn entropy(store: &mut TraceStore) -> Result<EntropyResults, BuildError> {
     let mut bench_means = Vec::with_capacity(Benchmark::ALL.len());
     for (index, benchmark) in Benchmark::ALL.into_iter().enumerate() {
         let mut local = EntropyProfile::new();
-        let mut fcm = FcmPredictor::new(ENTROPY_FCM_ORDER);
+        let mut fcm = PcKeyed::new(FcmPredictor::new(ENTROPY_FCM_ORDER));
         let trace = store.trace(benchmark)?;
         for rec in trace.iter() {
             let pc = namespaced(rec.pc, index);

@@ -67,6 +67,7 @@ pub mod bench;
 pub mod cache;
 pub mod characterize;
 mod context;
+mod durable;
 pub mod information;
 pub mod overlap;
 pub mod phases;

@@ -42,6 +42,7 @@
 //! maintenance surface behind `repro cache stats` / `repro cache purge
 //! --stale`.
 
+use crate::durable::{self, OrphanSweep};
 use std::collections::VecDeque;
 use std::fmt;
 use std::fs;
@@ -65,15 +66,11 @@ pub const RESULT_VERSION: u8 = 2;
 /// the local `/proc`.
 pub const SWEEP_MIN_AGE: Duration = Duration::from_secs(3600);
 
-/// FNV-1a 64 of one byte slice — the entry checksum function (same
-/// algorithm as the trace container's, `docs/TRACE_FORMAT.md`).
+/// FNV-1a 64 of one byte slice — the entry checksum function (the trace
+/// container's, [`Fnv1a64`](dvp_trace::Fnv1a64)).
 #[must_use]
 pub fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut hash = 0xcbf2_9ce4_8422_2325u64;
-    for &b in bytes {
-        hash = (hash ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    hash
+    dvp_trace::Fnv1a64::hash(bytes)
 }
 
 /// Byte length of the fixed v2 header: magic (4) + version (1) + engine
@@ -385,11 +382,9 @@ pub struct ResultCache {
     /// The engine epoch stamped into every written entry and required of
     /// every read one.
     epoch: u64,
-    /// Minimum age before an orphaned `.tmp-*` file may be swept.
-    sweep_min_age: Duration,
     stats: ResultCacheStats,
-    /// Guards the one-time orphaned-`.tmp-*` sweep of the directory.
-    swept: std::sync::Once,
+    /// The one-time orphaned-`.tmp-*` sweep of the directory.
+    sweep: OrphanSweep,
 }
 
 impl ResultCache {
@@ -403,9 +398,8 @@ impl ResultCache {
             capacity,
             dir: None,
             epoch: dvp_engine::engine_epoch(),
-            sweep_min_age: SWEEP_MIN_AGE,
             stats: ResultCacheStats::default(),
-            swept: std::sync::Once::new(),
+            sweep: OrphanSweep::new(SWEEP_MIN_AGE),
         }
     }
 
@@ -430,7 +424,7 @@ impl ResultCache {
     /// default). `Duration::ZERO` restores pid-liveness-only sweeping.
     #[must_use]
     pub fn with_sweep_min_age(mut self, min_age: Duration) -> ResultCache {
-        self.sweep_min_age = min_age;
+        self.sweep = OrphanSweep::new(min_age);
         self
     }
 
@@ -537,78 +531,20 @@ impl ResultCache {
 
     fn disk_put(&mut self, key: &str, payload: &str) -> io::Result<()> {
         let Some(path) = self.path_for(key) else { return Ok(()) };
-        let dir = self.dir.clone().expect("path_for implies dir");
-        fs::create_dir_all(&dir)?;
+        fs::create_dir_all(path.parent().expect("path_for joins the dir"))?;
         self.sweep_orphans();
-        let tmp = path.with_extension(format!("{RESULT_EXTENSION}.tmp-{}", std::process::id()));
-        let result = (|| {
-            let mut file = fs::File::create(&tmp)?;
-            file.write_all(&encode_entry(key, payload, self.epoch))?;
-            file.flush()?;
-            // Durability, not just atomicity: rename orders the directory
-            // entry, but only an fsync orders the *data* against a crash.
-            file.sync_all()?;
-            fs::rename(&tmp, &path)?;
-            // Best-effort: persist the rename itself.
-            if let Ok(dir) = fs::File::open(&dir) {
-                let _ = dir.sync_all();
-            }
-            Ok(())
-        })();
-        if result.is_err() {
-            let _ = fs::remove_file(&tmp);
-        } else {
-            self.stats.written += 1;
-        }
-        result
+        durable::write_durably(&path, |file| {
+            file.write_all(&encode_entry(key, payload, self.epoch))
+        })?;
+        self.stats.written += 1;
+        Ok(())
     }
 
-    /// Removes `*.tmp-<pid>` leftovers of dead processes, once per cache
-    /// instance. A file is swept only when its recorded pid is not this
-    /// process, does not exist in the local `/proc` (when present), *and*
-    /// the file is older than the age gate — a pid absent locally may be
-    /// a live writer on another machine sharing the directory over a
-    /// network filesystem, so neither signal alone is trusted.
     fn sweep_orphans(&self) {
-        let Some(dir) = self.dir.as_deref() else { return };
-        self.swept.call_once(|| {
-            let Ok(entries) = fs::read_dir(dir) else { return };
-            for entry in entries.flatten() {
-                let path = entry.path();
-                let Some(name) = path.file_name().and_then(|n| n.to_str()) else { continue };
-                let Some((_, pid)) = name.rsplit_once(".tmp-") else { continue };
-                let Ok(pid) = pid.parse::<u32>() else { continue };
-                if pid == std::process::id()
-                    || writer_may_be_alive(pid)
-                    || younger_than(&entry, self.sweep_min_age)
-                {
-                    continue;
-                }
-                let _ = fs::remove_file(&path);
-            }
-        });
+        if let Some(dir) = &self.dir {
+            self.sweep.run(dir);
+        }
     }
-}
-
-/// Whether the process that owns a temporary file could still be running
-/// *on this machine*: its pid exists under `/proc`. Without `/proc` the
-/// answer is unknowable and `false` is returned — the age gate is then
-/// the only protection.
-fn writer_may_be_alive(pid: u32) -> bool {
-    let proc_root = Path::new("/proc");
-    proc_root.is_dir() && proc_root.join(pid.to_string()).exists()
-}
-
-/// Whether the file was modified less than `min_age` ago. Unreadable
-/// metadata or a future mtime (clock skew) count as young — when in
-/// doubt, keep the file.
-fn younger_than(entry: &fs::DirEntry, min_age: Duration) -> bool {
-    entry
-        .metadata()
-        .and_then(|m| m.modified())
-        .ok()
-        .and_then(|t| t.elapsed().ok())
-        .is_none_or(|age| age < min_age)
 }
 
 #[cfg(test)]

@@ -40,7 +40,7 @@
 //! ```
 
 use super::{format_err, TraceIoError};
-use crate::{InstrCategory, Pc, PcInterner, PhasePlan, SimPointPhase, TraceRecord};
+use crate::{Fnv1a64, InstrCategory, Pc, PcInterner, PhasePlan, SimPointPhase, TraceRecord};
 use std::io::{Read, Write};
 
 /// Magic bytes of the v2 container (`"DVPT"` + version 2). The first four
@@ -70,39 +70,6 @@ pub const SECTION_PHASES: [u8; 4] = *b"PHAS";
 /// Default records per chunk (matches the engine's shared-buffer chunking,
 /// so a `SharedTrace` round-trips chunk-for-chunk).
 pub const DEFAULT_CHUNK_CAPACITY: usize = 1 << 16;
-
-/// FNV-1a 64-bit offset basis — the checksum of zero bytes.
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-/// FNV-1a 64-bit prime.
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-
-/// Incremental FNV-1a 64-bit hasher (the container's checksum function:
-/// simple, dependency-free, specified in one line).
-#[derive(Debug, Clone, Copy)]
-struct Fnv(u64);
-
-impl Fnv {
-    fn new() -> Self {
-        Fnv(FNV_OFFSET)
-    }
-
-    fn update(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.0 = (self.0 ^ u64::from(b)).wrapping_mul(FNV_PRIME);
-        }
-    }
-
-    fn finish(self) -> u64 {
-        self.0
-    }
-}
-
-/// FNV-1a 64 of one byte slice.
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut fnv = Fnv::new();
-    fnv.update(bytes);
-    fnv.finish()
-}
 
 /// Identity of the workload run that produced a trace.
 ///
@@ -144,7 +111,7 @@ impl Fingerprint {
     /// ```
     #[must_use]
     pub fn digest(&self) -> u64 {
-        let mut fnv = Fnv::new();
+        let mut fnv = Fnv1a64::new();
         for field in [&self.workload, &self.input, &self.opt_level] {
             fnv.update(&(field.len() as u64).to_le_bytes());
             fnv.update(field.as_bytes());
@@ -261,7 +228,7 @@ fn split_sections(mut rest: &[u8]) -> Result<Vec<Section<'_>>, TraceIoError> {
                 body_and_rest.len()
             )));
         };
-        if fnv1a(body) != checksum {
+        if Fnv1a64::hash(body) != checksum {
             return Err(format_err(format!(
                 "optional section {:?} checksum mismatch (corrupt section)",
                 String::from_utf8_lossy(&magic)
@@ -485,7 +452,7 @@ pub fn decode_chunk(payload: &[u8], info: &ChunkInfo) -> Result<Vec<TraceRecord>
             info.len
         )));
     }
-    if fnv1a(payload) != info.checksum {
+    if Fnv1a64::hash(payload) != info.checksum {
         return Err(format_err(format!(
             "chunk checksum mismatch at payload offset {} (corrupt chunk)",
             info.offset
@@ -593,7 +560,7 @@ fn encode_header_tail(header: &Header, compressed: bool) -> Result<Vec<u8>, Trac
 
 struct TailReader<'a, R: Read> {
     reader: &'a mut R,
-    fnv: Fnv,
+    fnv: Fnv1a64,
     /// Absolute byte offset of the next unread header byte (the tail
     /// starts right after the 5-byte magic and 8-byte checksum), so
     /// truncation errors can name where the header ended.
@@ -680,7 +647,7 @@ pub fn read_versioned_header<R: Read>(reader: &mut R) -> Result<(u8, Header), Tr
         .map_err(|_| format_err("header ends inside the header checksum"))?;
     let expected_checksum = u64::from_le_bytes(checksum_buf);
 
-    let mut tail = TailReader { reader, fnv: Fnv::new(), offset: MAGIC.len() + 8 };
+    let mut tail = TailReader { reader, fnv: Fnv1a64::new(), offset: MAGIC.len() + 8 };
     let record_count = tail.u64("record count")?;
     let chunk_capacity = tail.u32("chunk capacity")?;
     let chunk_count = tail.u32("chunk count")?;
@@ -961,7 +928,7 @@ where
             len,
             raw_len: if compress { raw_len } else { len },
             records,
-            checksum: fnv1a(&payload),
+            checksum: Fnv1a64::hash(&payload),
             compressed: compress,
         });
         offset += u64::from(len);
@@ -978,7 +945,7 @@ where
         magic[4] = VERSION_SECTIONS;
     }
     writer.write_all(&magic)?;
-    writer.write_all(&fnv1a(&tail).to_le_bytes())?;
+    writer.write_all(&Fnv1a64::hash(&tail).to_le_bytes())?;
     writer.write_all(&tail)?;
     for payload in &payloads {
         writer.write_all(payload)?;
@@ -986,7 +953,7 @@ where
     for (magic, body) in sections {
         writer.write_all(magic)?;
         writer.write_all(&(body.len() as u64).to_le_bytes())?;
-        writer.write_all(&fnv1a(body).to_le_bytes())?;
+        writer.write_all(&Fnv1a64::hash(body).to_le_bytes())?;
         writer.write_all(body)?;
     }
     Ok(header)
@@ -1237,7 +1204,7 @@ mod tests {
         };
         let tail = encode_header_tail(&header, false).expect("encodes");
         let mut bytes = MAGIC.to_vec();
-        bytes.extend_from_slice(&fnv1a(&tail).to_le_bytes());
+        bytes.extend_from_slice(&Fnv1a64::hash(&tail).to_le_bytes());
         bytes.extend_from_slice(&tail);
         bytes.extend_from_slice(&[0u8; 100]);
 
@@ -1324,7 +1291,7 @@ mod tests {
             len: 3,
             raw_len: 3,
             records: u32::MAX,
-            checksum: fnv1a(&payload),
+            checksum: Fnv1a64::hash(&payload),
             compressed: false,
         };
         let err = decode_chunk(&payload, &info).unwrap_err();
@@ -1563,7 +1530,7 @@ mod tests {
             len: 11,
             raw_len: 11,
             records: 1,
-            checksum: fnv1a(&payload),
+            checksum: Fnv1a64::hash(&payload),
             compressed: false,
         };
         let err = decode_chunk(&payload, &info).unwrap_err();

@@ -4,7 +4,9 @@
 //!
 //! Run with: `cargo run --release --example quickstart`
 
-use dvp_core::{FcmPredictor, HybridPredictor, LastValuePredictor, Predictor, StridePredictor};
+use dvp_core::{
+    FcmPredictor, HybridPredictor, LastValuePredictor, PcKeyed, Predictor, StridePredictor,
+};
 use dvp_lang::OptLevel;
 use dvp_trace::Pc;
 use dvp_workloads::{Benchmark, Workload};
@@ -17,14 +19,16 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let sequence: Vec<u64> = [3u64, 17, 8, 42].iter().copied().cycle().take(40).collect();
     let pc = Pc(0x0040_0100);
 
-    let mut predictors: Vec<Box<dyn Predictor>> = vec![
+    let predictors: Vec<Box<dyn Predictor>> = vec![
         Box::new(LastValuePredictor::new()),
         Box::new(StridePredictor::two_delta()),
         Box::new(FcmPredictor::new(2)),
         Box::new(HybridPredictor::stride_fcm(2)),
     ];
     println!("repeated non-stride sequence {:?} x10:", &sequence[..4]);
-    for p in &mut predictors {
+    for p in predictors {
+        // `PcKeyed` interns the bare PC into the dense id predictors use.
+        let mut p = PcKeyed::new(p);
         let correct = sequence.iter().filter(|&&v| p.observe(pc, v)).count();
         println!("  {:<16} {:>2}/{} correct", p.name(), correct, sequence.len());
     }

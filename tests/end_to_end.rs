@@ -3,7 +3,7 @@
 //! facade.
 
 use dvp::asm::assemble;
-use dvp::core::{FcmPredictor, Predictor, PredictorSet, StridePredictor};
+use dvp::core::{FcmPredictor, PcKeyed, PredictorSet, StridePredictor};
 use dvp::lang::{compile, OptLevel};
 use dvp::sim::Machine;
 use dvp::trace::{InstrCategory, TraceRecord};
@@ -85,7 +85,7 @@ fn optimization_levels_preserve_behaviour_but_change_mix() {
 #[test]
 fn idealized_tables_have_one_entry_per_static_instruction() {
     let trace = trace_of(OptLevel::O1);
-    let mut fcm = FcmPredictor::new(1);
+    let mut fcm = PcKeyed::new(FcmPredictor::new(1));
     for rec in &trace {
         fcm.update(rec.pc, rec.value);
     }

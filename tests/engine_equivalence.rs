@@ -3,7 +3,7 @@
 //! and therefore byte-identical rendered tables — at any worker and shard
 //! count, including the sequential reference configuration.
 
-use dvp::core::{AccuracyTracker, Predictor, PredictorConfig, PredictorSet};
+use dvp::core::{AccuracyTracker, PcKeyed, Predictor, PredictorConfig, PredictorSet};
 use dvp::engine::{ReplayEngine, SharedTrace};
 use dvp::experiments::TraceStore;
 use dvp::trace::InstrCategory;
@@ -24,7 +24,8 @@ fn engine_replay_equals_sequential_lockstep_on_real_trace() {
     let bank = PredictorConfig::paper_bank();
 
     // The pre-engine sequential loop: all predictors in lockstep.
-    let mut predictors: Vec<Box<dyn Predictor>> = bank.iter().map(PredictorConfig::build).collect();
+    let mut predictors: Vec<PcKeyed<Box<dyn Predictor>>> =
+        bank.iter().map(|config| PcKeyed::new(config.build())).collect();
     let mut trackers = vec![AccuracyTracker::new(); predictors.len()];
     for rec in trace.iter() {
         for (p, tracker) in predictors.iter_mut().zip(&mut trackers) {
